@@ -3,14 +3,18 @@ written as plain nested loops, and whole-block encrypt/decrypt.
 
 The state is a 4x4 byte matrix indexed [row][column].  A 16-byte block
 loads column-major: byte i lands at row i % 4, column i // 4.  All
-transformations are pure functions returning a fresh state; a
-KeySchedule is immutable after expansion, so encrypt/decrypt are safe
-for concurrent use.
+transformations are pure functions returning a fresh state.
+
+key_expansion builds the whole KeySchedule, round-key matrices and the
+packed words the fused rounds use, before it returns.  The schedule is
+a frozen dataclass and nothing in the package writes to it afterwards,
+so threads sharing one schedule only ever read it: encrypt/decrypt are
+safe for concurrent use.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .gf256 import SBOX_PAIR, gf_mul, xtime
+from .gf256 import MUL_TABLE, SBOX_PAIR, gf_mul, xtime
 
 S_BOX = SBOX_PAIR.forward
 INV_S_BOX = SBOX_PAIR.inverse
@@ -32,16 +36,23 @@ ROUNDS_BY_KEY_BYTES = {16: 10, 24: 12, 32: 14}
 State = list  # 4 rows of 4 ints
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeySchedule:
-    """Expanded round keys: (n_r + 1) 4x4 matrices plus key metadata."""
+    """Expanded round keys, complete when key_expansion returns.
+
+    round_keys holds (n_r + 1) 4x4 matrices for the baseline rounds.
+    enc_words[r] is round key r as four big-endian column words, and
+    dec_words[r] is the equivalent inverse cipher's key (FIPS-197
+    5.3.5): round keys 0 and n_r as they are, round keys 1..n_r-1
+    through InvMixColumns, so a fused decrypt round can add its key
+    after InvMixColumns.  Both are tuples of 4-tuples of ints.
+    """
 
     round_keys: list
     key_size_bits: int
     n_r: int
-    # Derived per-schedule tables (packed key words etc.), filled lazily
-    # by consumers; excluded from equality and repr.
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    enc_words: tuple
+    dec_words: tuple
 
 
 def load_state(block: bytes) -> State:
@@ -90,7 +101,27 @@ def key_expansion(key: bytes, n_r: int | None = None) -> KeySchedule:
     for r in range(n_r + 1):
         cols = words[4 * r:4 * r + 4]
         round_keys.append([[cols[j][i] for j in range(4)] for i in range(4)])
-    return KeySchedule(round_keys, len(key) * 8, n_r)
+    # Tuples are built from lists, not generators.  CPython grows a tuple
+    # from a generator by resizing it, which skips the per-size tuple
+    # free list when allocating but refills it on release, so each
+    # schedule would park its tuples there (about 1 MB at steady state).
+    packed = [(a << 24) | (b << 16) | (c << 8) | d for a, b, c, d in words]
+    enc_words = tuple([tuple(packed[4 * r:4 * r + 4]) for r in range(n_r + 1)])
+    # InvMixColumns of each column of round keys 1..n_r-1.
+    m9, mb, md, me = (MUL_TABLE[c] for c in (0x09, 0x0B, 0x0D, 0x0E))
+    inv = [
+        ((me[a] ^ mb[b] ^ md[c] ^ m9[d]) << 24)
+        | ((m9[a] ^ me[b] ^ mb[c] ^ md[d]) << 16)
+        | ((md[a] ^ m9[b] ^ me[c] ^ mb[d]) << 8)
+        | (mb[a] ^ md[b] ^ m9[c] ^ me[d])
+        for a, b, c, d in words[4:4 * n_r]
+    ]
+    dec_words = (
+        enc_words[0],
+        *(tuple(inv[4 * r:4 * r + 4]) for r in range(n_r - 1)),
+        enc_words[n_r],
+    )
+    return KeySchedule(round_keys, len(key) * 8, n_r, enc_words, dec_words)
 
 
 def add_round_key(state: State, round_key: list) -> State:

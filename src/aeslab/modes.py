@@ -69,6 +69,10 @@ def _block_fns(ks: KeySchedule, plan: VariantPlan | None):
     )
 
 
+def _xor_block(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_SIZE, "big")
+
+
 def _require_aligned(data: bytes) -> None:
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError(
@@ -99,8 +103,7 @@ def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan | Non
     out = []
     prev = iv
     for i in range(0, len(data), 16):
-        block = data[i:i + 16]
-        prev = enc(bytes(m ^ c for m, c in zip(block, prev)))
+        prev = enc(_xor_block(data[i:i + 16], prev))
         out.append(prev)
     return b"".join(out)
 
@@ -114,7 +117,7 @@ def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan | Non
     prev = iv
     for i in range(0, len(data), 16):
         block = data[i:i + 16]
-        out.append(bytes(m ^ c for m, c in zip(dec(block), prev)))
+        out.append(_xor_block(dec(block), prev))
         prev = block
     return b"".join(out)
 

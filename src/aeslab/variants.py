@@ -11,11 +11,21 @@ Three tiers, all bit-compatible with the baseline:
 
 A VariantPlan selects per round between the baseline path and the
 T-table path, yielding the Base / Opt1 / Opt2 / OptF scenarios.
+
+The block kernels keep the state as four 32-bit column words (big-endian,
+row 0 in the top byte), unpacked from and packed into the block with
+struct, and XOR the schedule's packed key words.  The state becomes the
+baseline 4x4 matrix only where a plan switches to baseline rounds, runs
+the core round functions there, and is packed back into words before
+the next fused round.  The per-transform functions below work on the
+matrix and serve the transform microbenchmarks.
 """
 
+import struct
 from dataclasses import dataclass
 
 from .core import (
+    BLOCK_SIZE,
     INV_S_BOX,
     S_BOX,
     KeySchedule,
@@ -24,7 +34,6 @@ from .core import (
     inv_mix_columns,
     inv_shift_rows,
     inv_sub_bytes,
-    load_state,
     mix_columns,
     shift_rows,
     store_state,
@@ -53,9 +62,6 @@ class TTables:
 
     def enc_entry(self, table: int, x: int) -> bytes:
         return self.enc[table][x].to_bytes(4, "big")
-
-    def dec_entry(self, table: int, x: int) -> bytes:
-        return self.dec[table][x].to_bytes(4, "big")
 
     @property
     def enc_footprint_bytes(self) -> int:
@@ -156,14 +162,6 @@ def unrolled_sub_bytes(state: State) -> State:
     return out
 
 
-def unrolled_inv_sub_bytes(state: State) -> State:
-    box = INV_S_BOX
-    out = []
-    for row in state:
-        out.append([box[row[0]], box[row[1]], box[row[2]], box[row[3]]])
-    return out
-
-
 def unrolled_shift_rows(state: State) -> State:
     r0, r1, r2, r3 = state
     return [
@@ -171,16 +169,6 @@ def unrolled_shift_rows(state: State) -> State:
         [r1[1], r1[2], r1[3], r1[0]],
         [r2[2], r2[3], r2[0], r2[1]],
         [r3[3], r3[0], r3[1], r3[2]],
-    ]
-
-
-def unrolled_inv_shift_rows(state: State) -> State:
-    r0, r1, r2, r3 = state
-    return [
-        r0[:],
-        [r1[3], r1[0], r1[1], r1[2]],
-        [r2[2], r2[3], r2[0], r2[1]],
-        [r3[1], r3[2], r3[3], r3[0]],
     ]
 
 
@@ -220,77 +208,35 @@ def table_inv_mix_columns(state: State, table=MUL_TABLE) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Fused T-table rounds
+# Block kernels over packed column words
 
-def _pack_columns(matrix) -> list:
+_BLOCK_WORDS = struct.Struct(">4I")
+
+
+def _matrix(s0: int, s1: int, s2: int, s3: int) -> State:
+    """Four column words -> 4x4 state (byte 0 of a word is row 0)."""
     return [
-        (matrix[0][j] << 24) | (matrix[1][j] << 16) | (matrix[2][j] << 8) | matrix[3][j]
-        for j in range(4)
+        [s0 >> 24, s1 >> 24, s2 >> 24, s3 >> 24],
+        [s0 >> 16 & 0xFF, s1 >> 16 & 0xFF, s2 >> 16 & 0xFF, s3 >> 16 & 0xFF],
+        [s0 >> 8 & 0xFF, s1 >> 8 & 0xFF, s2 >> 8 & 0xFF, s3 >> 8 & 0xFF],
+        [s0 & 0xFF, s1 & 0xFF, s2 & 0xFF, s3 & 0xFF],
     ]
 
 
-def _enc_key_words(ks: KeySchedule) -> list:
-    words = ks._derived.get("enc_words")
-    if words is None:
-        words = [_pack_columns(rk) for rk in ks.round_keys]
-        ks._derived["enc_words"] = words
-    return words
-
-
-def _dec_key_words(ks: KeySchedule) -> list:
-    # InvMixColumns(state ^ rk) == InvMixColumns(state) ^ InvMixColumns(rk),
-    # so the fused decrypt round XORs the InvMixColumns image of the key.
-    words = ks._derived.get("dec_words")
-    if words is None:
-        words = [None] * (ks.n_r + 1)
-        for r in range(1, ks.n_r):
-            words[r] = _pack_columns(inv_mix_columns(ks.round_keys[r]))
-        ks._derived["dec_words"] = words
-    return words
-
-
-def _t_round(state: State, rk_words: list) -> State:
-    """SubBytes + ShiftRows + MixColumns + AddRoundKey in 16 lookups."""
-    t0, t1, t2, t3 = T_TABLES.enc
+def _columns(state: State) -> tuple:
+    """4x4 state -> four column words, inverse of _matrix."""
     r0, r1, r2, r3 = state
-    out = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        w = (
-            t0[r0[j]]
-            ^ t1[r1[(j + 1) % 4]]
-            ^ t2[r2[(j + 2) % 4]]
-            ^ t3[r3[(j + 3) % 4]]
-            ^ rk_words[j]
-        )
-        out[0][j] = (w >> 24) & 0xFF
-        out[1][j] = (w >> 16) & 0xFF
-        out[2][j] = (w >> 8) & 0xFF
-        out[3][j] = w & 0xFF
-    return out
+    return (
+        r0[0] << 24 | r1[0] << 16 | r2[0] << 8 | r3[0],
+        r0[1] << 24 | r1[1] << 16 | r2[1] << 8 | r3[1],
+        r0[2] << 24 | r1[2] << 16 | r2[2] << 8 | r3[2],
+        r0[3] << 24 | r1[3] << 16 | r2[3] << 8 | r3[3],
+    )
 
 
-def _d_round(state: State, ik_words: list) -> State:
-    """InvShiftRows + InvSubBytes + AddRoundKey + InvMixColumns fused;
-    ik_words must hold the InvMixColumns image of the round key."""
-    d0, d1, d2, d3 = T_TABLES.dec
-    r0, r1, r2, r3 = state
-    out = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        w = (
-            d0[r0[j]]
-            ^ d1[r1[(j + 3) % 4]]
-            ^ d2[r2[(j + 2) % 4]]
-            ^ d3[r3[(j + 1) % 4]]
-            ^ ik_words[j]
-        )
-        out[0][j] = (w >> 24) & 0xFF
-        out[1][j] = (w >> 16) & 0xFF
-        out[2][j] = (w >> 8) & 0xFF
-        out[3][j] = w & 0xFF
-    return out
-
-
-def _check_plan(ks: KeySchedule, plan: VariantPlan) -> None:
+def _check_call(block: bytes, ks: KeySchedule, plan: VariantPlan) -> None:
+    if len(block) != BLOCK_SIZE:
+        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
     if plan.n_r != ks.n_r:
         raise ValueError(
             f"plan covers {plan.n_r} rounds but schedule has {ks.n_r}"
@@ -301,33 +247,61 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     """Encrypt one block, choosing per round between the baseline path and
     the T-table path.  Ciphertext is bit-identical for every plan.
 
-    The final round has no MixColumns, so its optimized path is the
-    unrolled S-box/ShiftRows/AddRoundKey sequence rather than a fused
-    table lookup.
+    A fused round is SubBytes + ShiftRows + MixColumns + AddRoundKey as
+    16 T-table lookups plus XORs on the column words.  The final round
+    has no MixColumns, so its optimized path takes S-box bytes shifted
+    into place instead of table words.
     """
-    _check_plan(ks, plan)
-    s = load_state(block)
-    rk = ks.round_keys
+    _check_call(block, ks, plan)
+    n_r = ks.n_r
     flags = plan.round_flags
-    enc_words = _enc_key_words(ks)
-    s = add_round_key(s, rk[0])
-    for r in range(1, ks.n_r):
+    rk = ks.round_keys
+    w = ks.enc_words
+    t0, t1, t2, t3 = T_TABLES.enc
+    s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
+    k0, k1, k2, k3 = w[0]
+    s0 ^= k0
+    s1 ^= k1
+    s2 ^= k2
+    s3 ^= k3
+    r = 1
+    while r < n_r:
         if flags[r - 1]:
-            s = _t_round(s, enc_words[r])
+            k0, k1, k2, k3 = w[r]
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[s1 >> 16 & 0xFF] ^ t2[s2 >> 8 & 0xFF] ^ t3[s3 & 0xFF] ^ k0,
+                t0[s1 >> 24] ^ t1[s2 >> 16 & 0xFF] ^ t2[s3 >> 8 & 0xFF] ^ t3[s0 & 0xFF] ^ k1,
+                t0[s2 >> 24] ^ t1[s3 >> 16 & 0xFF] ^ t2[s0 >> 8 & 0xFF] ^ t3[s1 & 0xFF] ^ k2,
+                t0[s3 >> 24] ^ t1[s0 >> 16 & 0xFF] ^ t2[s1 >> 8 & 0xFF] ^ t3[s2 & 0xFF] ^ k3,
+            )
+            r += 1
         else:
-            s = sub_bytes(s)
-            s = shift_rows(s)
-            s = mix_columns(s)
-            s = add_round_key(s, rk[r])
-    if flags[ks.n_r - 1]:
-        s = unrolled_sub_bytes(s)
-        s = unrolled_shift_rows(s)
-        s = unrolled_add_round_key(s, rk[ks.n_r])
-    else:
+            s = _matrix(s0, s1, s2, s3)
+            while r < n_r and not flags[r - 1]:
+                s = sub_bytes(s)
+                s = shift_rows(s)
+                s = mix_columns(s)
+                s = add_round_key(s, rk[r])
+                r += 1
+            s0, s1, s2, s3 = _columns(s)
+    if not flags[n_r - 1]:
+        s = _matrix(s0, s1, s2, s3)
         s = sub_bytes(s)
         s = shift_rows(s)
-        s = add_round_key(s, rk[ks.n_r])
-    return store_state(s)
+        s = add_round_key(s, rk[n_r])
+        return store_state(s)
+    box = S_BOX
+    k0, k1, k2, k3 = w[n_r]
+    return _BLOCK_WORDS.pack(
+        (box[s0 >> 24] << 24 | box[s1 >> 16 & 0xFF] << 16
+         | box[s2 >> 8 & 0xFF] << 8 | box[s3 & 0xFF]) ^ k0,
+        (box[s1 >> 24] << 24 | box[s2 >> 16 & 0xFF] << 16
+         | box[s3 >> 8 & 0xFF] << 8 | box[s0 & 0xFF]) ^ k1,
+        (box[s2 >> 24] << 24 | box[s3 >> 16 & 0xFF] << 16
+         | box[s0 >> 8 & 0xFF] << 8 | box[s1 & 0xFF]) ^ k2,
+        (box[s3 >> 24] << 24 | box[s0 >> 16 & 0xFF] << 16
+         | box[s1 >> 8 & 0xFF] << 8 | box[s2 & 0xFF]) ^ k3,
+    )
 
 
 def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
@@ -336,31 +310,61 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     Decryption consumes the round flags in reverse stage order: the flag
     for round r selects the path of the fused stage that uses round key
     r, and the first flag selects the path of the trailing
-    InvShiftRows/InvSubBytes/AddRoundKey stage.
+    InvShiftRows/InvSubBytes/AddRoundKey stage.  A fused stage is
+    InvShiftRows + InvSubBytes + AddRoundKey + InvMixColumns; it adds
+    ks.dec_words[r], the InvMixColumns image of round key r, after the
+    lookups, since InvMixColumns is linear.
     """
-    _check_plan(ks, plan)
-    s = load_state(block)
-    rk = ks.round_keys
+    _check_call(block, ks, plan)
+    n_r = ks.n_r
     flags = plan.round_flags
-    dec_words = _dec_key_words(ks)
-    s = add_round_key(s, rk[ks.n_r])
-    for r in range(ks.n_r - 1, 0, -1):
+    rk = ks.round_keys
+    w = ks.dec_words
+    d0, d1, d2, d3 = T_TABLES.dec
+    s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
+    k0, k1, k2, k3 = w[n_r]
+    s0 ^= k0
+    s1 ^= k1
+    s2 ^= k2
+    s3 ^= k3
+    r = n_r - 1
+    while r > 0:
         if flags[r - 1]:
-            s = _d_round(s, dec_words[r])
+            k0, k1, k2, k3 = w[r]
+            s0, s1, s2, s3 = (
+                d0[s0 >> 24] ^ d1[s3 >> 16 & 0xFF] ^ d2[s2 >> 8 & 0xFF] ^ d3[s1 & 0xFF] ^ k0,
+                d0[s1 >> 24] ^ d1[s0 >> 16 & 0xFF] ^ d2[s3 >> 8 & 0xFF] ^ d3[s2 & 0xFF] ^ k1,
+                d0[s2 >> 24] ^ d1[s1 >> 16 & 0xFF] ^ d2[s0 >> 8 & 0xFF] ^ d3[s3 & 0xFF] ^ k2,
+                d0[s3 >> 24] ^ d1[s2 >> 16 & 0xFF] ^ d2[s1 >> 8 & 0xFF] ^ d3[s0 & 0xFF] ^ k3,
+            )
+            r -= 1
         else:
-            s = inv_shift_rows(s)
-            s = inv_sub_bytes(s)
-            s = add_round_key(s, rk[r])
-            s = inv_mix_columns(s)
-    if flags[ks.n_r - 1]:
-        s = unrolled_inv_shift_rows(s)
-        s = unrolled_inv_sub_bytes(s)
-        s = unrolled_add_round_key(s, rk[0])
-    else:
+            s = _matrix(s0, s1, s2, s3)
+            while r > 0 and not flags[r - 1]:
+                s = inv_shift_rows(s)
+                s = inv_sub_bytes(s)
+                s = add_round_key(s, rk[r])
+                s = inv_mix_columns(s)
+                r -= 1
+            s0, s1, s2, s3 = _columns(s)
+    if not flags[n_r - 1]:
+        s = _matrix(s0, s1, s2, s3)
         s = inv_shift_rows(s)
         s = inv_sub_bytes(s)
         s = add_round_key(s, rk[0])
-    return store_state(s)
+        return store_state(s)
+    box = INV_S_BOX
+    k0, k1, k2, k3 = w[0]
+    return _BLOCK_WORDS.pack(
+        (box[s0 >> 24] << 24 | box[s3 >> 16 & 0xFF] << 16
+         | box[s2 >> 8 & 0xFF] << 8 | box[s1 & 0xFF]) ^ k0,
+        (box[s1 >> 24] << 24 | box[s0 >> 16 & 0xFF] << 16
+         | box[s3 >> 8 & 0xFF] << 8 | box[s2 & 0xFF]) ^ k1,
+        (box[s2 >> 24] << 24 | box[s1 >> 16 & 0xFF] << 16
+         | box[s0 >> 8 & 0xFF] << 8 | box[s3 & 0xFF]) ^ k2,
+        (box[s3 >> 24] << 24 | box[s2 >> 16 & 0xFF] << 16
+         | box[s1 >> 8 & 0xFF] << 8 | box[s0 & 0xFF]) ^ k3,
+    )
 
 
 def static_footprint(variant_id: str) -> dict:

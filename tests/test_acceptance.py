@@ -211,17 +211,20 @@ def test_performance_direction():
               f"{by_op['decrypt'].median_s / by_op['encrypt'].median_s:.2f}x")
         assert by_op["decrypt"].median_s > by_op["encrypt"].median_s
 
-        # round sweep: medians nondecreasing in n_r; growth printed
-        # beside the reported 14-19% (encrypt) and 15-30% (decrypt) bands
+        # round sweep: times nondecreasing in n_r; growth printed beside
+        # the reported 14-19% (encrypt) and 15-30% (decrypt) bands.  The
+        # ordering is asserted on the fastest of 9 reps: load from other
+        # processes only ever adds time, so the minimum is the least
+        # noisy estimate of each cell's cost.
         sweep = round_sweep(sizes=(16 * 1024,), rounds=(2, 4, 6, 8, 10),
-                            repetitions=5, warmup=1, seed=2004)
+                            repetitions=9, warmup=1, seed=2004)
         growth = {}
         for op in ("encrypt", "decrypt"):
             series = sorted((r for r in sweep if r.op == op), key=lambda r: r.n_r)
-            medians = [r.median_s for r in series]
-            assert medians == sorted(medians), (op, medians)
-            assert medians[-1] > medians[0], op
-            growth[op] = medians[-1] / medians[0]
+            fastest = [r.min_s for r in series]
+            assert fastest == sorted(fastest), (op, fastest)
+            assert fastest[-1] > fastest[0], op
+            growth[op] = series[-1].median_s / series[0].median_s
         for line in sweep_growth_lines(sweep):
             print(f"  {line}")
         print(f"  sweep growth 2->10 rounds: encrypt {growth['encrypt']:.2f}x, "

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -91,6 +92,28 @@ def test_key_expansion_single_round_length():
 def test_key_expansion_rejects_bad_lengths(key_len):
     with pytest.raises(ValueError):
         key_expansion(bytes(key_len))
+
+
+def test_key_expansion_packs_round_key_words():
+    # enc_words: round-key columns as big-endian words; dec_words: the
+    # same, through InvMixColumns for round keys 1..n_r-1.
+    rng = random.Random(14)
+    for n_r in range(1, 15):
+        ks = key_expansion(rng.randbytes(rng.choice([16, 24, 32])), n_r)
+        assert len(ks.enc_words) == len(ks.dec_words) == n_r + 1
+        for r, rk in enumerate(ks.round_keys):
+            ik = inv_mix_columns(rk) if 0 < r < n_r else rk
+            for words, m in ((ks.enc_words[r], rk), (ks.dec_words[r], ik)):
+                assert words == tuple(
+                    int.from_bytes(bytes(m[i][j] for i in range(4)), "big")
+                    for j in range(4)
+                )
+
+
+def test_key_schedule_is_frozen():
+    ks = key_expansion(bytes(16))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ks.dec_words = ks.enc_words
 
 
 def test_key_expansion_rejects_zero_rounds():
