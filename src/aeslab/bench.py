@@ -89,6 +89,16 @@ def _time_call(fn) -> float:
     return time.perf_counter() - t0
 
 
+def _expand(key: bytes, n_r: int, repetitions: int):
+    """The key schedule, and the median time of `repetitions` further
+    expansions of the same key (the first call warms up)."""
+    ks = key_expansion(key, n_r)
+    expand_s = statistics.median(
+        [_time_call(lambda: key_expansion(key, n_r)) for _ in range(repetitions)]
+    )
+    return ks, expand_s
+
+
 def _measure_interleaved(fns: list, repetitions: int, warmup: int) -> list:
     """Per-function sample lists, with repetitions taken round-robin
     across the functions so a transient load spike lands on one
@@ -155,9 +165,7 @@ def run_matrix(cfg: BenchConfig) -> list:
         for key_bits in cfg.key_sizes:
             key = rng.randbytes(key_bits // 8)
             n_r = cfg.rounds if cfg.rounds is not None else KEY_ROUNDS[key_bits]
-            t0 = time.perf_counter()
-            ks = key_expansion(key, n_r)
-            expand_s = time.perf_counter() - t0
+            ks, expand_s = _expand(key, n_r, cfg.repetitions)
             iv = rng.randbytes(16)
             for mode in cfg.modes:
                 base_plan = make_plan("base", n_r)
@@ -212,9 +220,7 @@ def round_sweep(
         key = rng.randbytes(key_bits // 8)
         cells = []
         for n_r in rounds:
-            t0 = time.perf_counter()
-            ks = key_expansion(key, n_r)
-            expand_s = time.perf_counter() - t0
+            ks, expand_s = _expand(key, n_r, repetitions)
             plan = make_plan(variant, n_r)
             ct = ecb_encrypt(payload, ks, plan)
             for op, fn, expected in (

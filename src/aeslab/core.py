@@ -5,16 +5,21 @@ The state is a 4x4 byte matrix indexed [row][column].  A 16-byte block
 loads column-major: byte i lands at row i % 4, column i // 4.  All
 transformations are pure functions returning a fresh state.
 
-key_expansion builds the whole KeySchedule, round-key matrices and the
-packed words the fused rounds use, before it returns.  The schedule is
+key_expansion runs on packed 32-bit words: the word loop of FIPS-197
+5.2 (RotWord, SubWord, Rcon) gives the encrypt key words, the
+round-key matrices are sliced from their bytes, and the equivalent
+inverse cipher's key words (FIPS-197 5.3.5) come from one InvMixColumns
+pass over all middle round keys held as a single int, with no table.
+It builds the whole KeySchedule before it returns.  The schedule is
 a frozen dataclass and nothing in the package writes to it afterwards,
 so threads sharing one schedule only ever read it: encrypt/decrypt are
 safe for concurrent use.
 """
 
+import struct
 from dataclasses import dataclass
 
-from .gf256 import MUL_TABLE, SBOX_PAIR, gf_mul, xtime
+from .gf256 import SBOX_PAIR, gf_mul, xtime
 
 S_BOX = SBOX_PAIR.forward
 INV_S_BOX = SBOX_PAIR.inverse
@@ -83,42 +88,61 @@ def key_expansion(key: bytes, n_r: int | None = None) -> KeySchedule:
     if n_r < 1:
         raise ValueError(f"round count must be >= 1, got {n_r}")
 
+    # FIPS-197 5.2 on big-endian words: RotWord, SubWord and Rcon.
     nk = len(key) // 4
-    words = [list(key[4 * i:4 * (i + 1)]) for i in range(nk)]
+    n_words = 4 * (n_r + 1)
+    sbox = S_BOX
+    w = list(struct.unpack(f">{nk}I", key))
     rc = 1
-    for i in range(nk, 4 * (n_r + 1)):
-        temp = words[i - 1]
+    for i in range(nk, n_words):
+        t = w[i - 1]
         if i % nk == 0:
-            temp = temp[1:] + temp[:1]
-            temp = [S_BOX[b] for b in temp]
-            temp[0] ^= rc
+            t = ((sbox[t >> 16 & 0xFF] ^ rc) << 24 | sbox[t >> 8 & 0xFF] << 16
+                 | sbox[t & 0xFF] << 8 | sbox[t >> 24])
             rc = xtime(rc)
         elif nk > 6 and i % nk == 4:
-            temp = [S_BOX[b] for b in temp]
-        words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
+            t = (sbox[t >> 24] << 24 | sbox[t >> 16 & 0xFF] << 16
+                 | sbox[t >> 8 & 0xFF] << 8 | sbox[t & 0xFF])
+        w.append(w[i - nk] ^ t)
 
-    round_keys = []
-    for r in range(n_r + 1):
-        cols = words[4 * r:4 * r + 4]
-        round_keys.append([[cols[j][i] for j in range(4)] for i in range(4)])
+    # Row i of round key r holds byte i of its four column words.
+    kb = struct.pack(f">{n_words}I", *w)
+    kl = list(kb)
+    round_keys = [[kl[o:o + 16:4], kl[o + 1:o + 16:4], kl[o + 2:o + 16:4],
+                   kl[o + 3:o + 16:4]] for o in range(0, 4 * n_words, 16)]
     # Tuples are built from lists, not generators.  CPython grows a tuple
     # from a generator by resizing it, which skips the per-size tuple
     # free list when allocating but refills it on release, so each
     # schedule would park its tuples there (about 1 MB at steady state).
-    packed = [(a << 24) | (b << 16) | (c << 8) | d for a, b, c, d in words]
-    enc_words = tuple([tuple(packed[4 * r:4 * r + 4]) for r in range(n_r + 1)])
-    # InvMixColumns of each column of round keys 1..n_r-1.
-    m9, mb, md, me = (MUL_TABLE[c] for c in (0x09, 0x0B, 0x0D, 0x0E))
-    inv = [
-        ((me[a] ^ mb[b] ^ md[c] ^ m9[d]) << 24)
-        | ((m9[a] ^ me[b] ^ mb[c] ^ md[d]) << 16)
-        | ((md[a] ^ m9[b] ^ me[c] ^ mb[d]) << 8)
-        | (mb[a] ^ md[b] ^ m9[c] ^ me[d])
-        for a, b, c, d in words[4:4 * n_r]
-    ]
+    enc_words = tuple([tuple(w[o:o + 4]) for o in range(0, n_words, 4)])
+
+    # FIPS-197 5.3.5: InvMixColumns of round keys 1..n_r-1, every column
+    # at once on one int whose 32-bit lanes are the column words.  x2, x4
+    # and x8 apply xtime to every byte; n9, nb, nd and ne are the byte
+    # products with 09, 0b, 0d and 0e.  Row j of INV_MIX_MATRIX is row 0
+    # rotated right j places, so each column becomes
+    # ne ^ rotl8(nb) ^ rotl16(nd) ^ rotl24(n9), rotating within its lane.
+    n = 4 * n_r - 4
+    v = int.from_bytes(kb[16:16 * n_r], "big")
+    lanes = int.from_bytes(b"\0\0\0\1" * n, "big")
+    ones = lanes * 0x01010101
+    low7 = ones * 0x7F
+    x2 = (v & low7) << 1 ^ (v >> 7 & ones) * 0x1B
+    x4 = (x2 & low7) << 1 ^ (x2 >> 7 & ones) * 0x1B
+    x8 = (x4 & low7) << 1 ^ (x4 >> 7 & ones) * 0x1B
+    n9 = x8 ^ v
+    nb = n9 ^ x2
+    nd = n9 ^ x4
+    ne = x8 ^ x4 ^ x2
+    inv = struct.unpack(f">{n}I", (
+        ne
+        ^ (nb << 8 & lanes * 0xFFFFFF00 | nb >> 24 & lanes * 0xFF)
+        ^ (nd << 16 & lanes * 0xFFFF0000 | nd >> 16 & lanes * 0xFFFF)
+        ^ (n9 << 24 & lanes * 0xFF000000 | n9 >> 8 & lanes * 0xFFFFFF)
+    ).to_bytes(4 * n, "big"))
     dec_words = (
         enc_words[0],
-        *(tuple(inv[4 * r:4 * r + 4]) for r in range(n_r - 1)),
+        *[inv[o:o + 4] for o in range(0, n, 4)],
         enc_words[n_r],
     )
     return KeySchedule(round_keys, len(key) * 8, n_r, enc_words, dec_words)

@@ -8,7 +8,6 @@ only its unpredictability matters.
 
 import os
 import random
-from dataclasses import dataclass
 
 from .core import BLOCK_SIZE, KeySchedule, decrypt_block, encrypt_block
 from .variants import VariantPlan, decrypt_block_variant, encrypt_block_variant
@@ -16,32 +15,6 @@ from .variants import VariantPlan, decrypt_block_variant, encrypt_block_variant
 
 class PaddingError(ValueError):
     """Ciphertext decrypted to an invalid PKCS#7 padding pattern."""
-
-
-PADDING_PKCS7 = "pkcs7"
-PADDING_RESIDUAL = "none-with-residual"
-
-
-@dataclass(frozen=True)
-class ModeConfig:
-    """Mode selection plus its IV/padding constraints."""
-
-    mode: str  # "ecb" | "cbc"
-    iv: bytes | None = None
-    padding: str = PADDING_PKCS7
-
-    def __post_init__(self):
-        if self.mode not in ("ecb", "cbc"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.padding not in (PADDING_PKCS7, PADDING_RESIDUAL):
-            raise ValueError(f"unknown padding {self.padding!r}")
-        if self.mode == "cbc":
-            if self.iv is None:
-                raise ValueError("CBC requires an IV")
-            if len(self.iv) != BLOCK_SIZE:
-                raise ValueError(f"IV must be {BLOCK_SIZE} bytes")
-        elif self.iv is not None:
-            raise ValueError("ECB must not carry an IV")
 
 
 def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:

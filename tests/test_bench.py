@@ -56,6 +56,7 @@ def test_result_statistics_are_consistent(small_results):
         assert r.min_s <= r.mean_s <= r.max_s
         assert r.repetitions == 3
         assert r.throughput_bps > 0
+        assert r.expand_s > 0  # median of 3 timed key expansions
         assert r.size_bytes == 2064  # padded payload
 
 
@@ -81,6 +82,7 @@ def test_round_sweep_mechanics():
     assert len(results) == 4  # 2 round counts x encrypt/decrypt
     assert {r.n_r for r in results} == {1, 2}
     assert {r.op for r in results} == {"encrypt", "decrypt"}
+    assert all(r.expand_s > 0 for r in results)
     with pytest.raises(ValueError):
         round_sweep(rounds=(0,))
 

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeslab.bmp import (
+    HEADER_SIZE,
+    BmpError,
     BmpImage,
     BmpMagicError,
     BmpTruncatedError,
@@ -95,6 +99,61 @@ def test_serialize_validates_structure():
     img.pixels = img.pixels[:-1]
     with pytest.raises(ValueError):
         serialize_bmp(img)
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzz: any input parses to a BmpImage that serializes back to the
+# same bytes, or raises BmpError; nothing else escapes.
+
+def _parse_or_reject(data):
+    try:
+        img = parse_bmp(data)
+    except BmpError:
+        return
+    assert isinstance(img, BmpImage)
+    assert serialize_bmp(img) == data
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.binary(max_size=200),
+                 st.binary(min_size=52, max_size=200).map(lambda b: b"BM" + b)))
+def test_parse_fuzz_arbitrary_bytes(data):
+    _parse_or_reject(data)
+
+
+# (offset, size) of the header fields parse_bmp checks
+_HEADER_FIELDS = {"magic": (0, 2), "pixel_offset": (10, 4), "dib_size": (14, 4),
+                  "width": (18, 4), "height": (22, 4), "depth": (28, 2),
+                  "compression": (30, 4)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    width=st.integers(1, 12),
+    height=st.integers(1, 12),
+    filler=st.binary(min_size=HEADER_SIZE, max_size=HEADER_SIZE),
+    broken=st.dictionaries(st.sampled_from(sorted(_HEADER_FIELDS)),
+                           st.integers(0, (1 << 32) - 1), max_size=2),
+    extra=st.integers(-5, 5),
+    pixel_byte=st.integers(0, 255),
+)
+def test_parse_fuzz_structured_headers(width, height, filler, broken, extra, pixel_byte):
+    # a valid header with random bytes in the fields parse_bmp ignores,
+    # up to two checked fields overwritten, and a pixel array within a
+    # few bytes of the valid length
+    h = bytearray(filler)
+    h[0:2] = b"BM"
+    h[10:14] = HEADER_SIZE.to_bytes(4, "little")
+    h[14:18] = (40).to_bytes(4, "little")
+    h[18:22] = width.to_bytes(4, "little")
+    h[22:26] = height.to_bytes(4, "little")
+    h[28:30] = (24).to_bytes(2, "little")
+    h[30:34] = bytes(4)
+    for name, value in broken.items():
+        at, size = _HEADER_FIELDS[name]
+        h[at:at + size] = (value % (1 << 8 * size)).to_bytes(size, "little")
+    n_pixels = max(0, row_stride_for(width) * height + extra)
+    _parse_or_reject(bytes(h) + bytes([pixel_byte]) * n_pixels)
 
 
 # ---------------------------------------------------------------------------

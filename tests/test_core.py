@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aeslab.core import (
     KeySchedule,
@@ -94,20 +96,29 @@ def test_key_expansion_rejects_bad_lengths(key_len):
         key_expansion(bytes(key_len))
 
 
-def test_key_expansion_packs_round_key_words():
-    # enc_words: round-key columns as big-endian words; dec_words: the
-    # same, through InvMixColumns for round keys 1..n_r-1.
-    rng = random.Random(14)
-    for n_r in range(1, 15):
-        ks = key_expansion(rng.randbytes(rng.choice([16, 24, 32])), n_r)
-        assert len(ks.enc_words) == len(ks.dec_words) == n_r + 1
-        for r, rk in enumerate(ks.round_keys):
-            ik = inv_mix_columns(rk) if 0 < r < n_r else rk
-            for words, m in ((ks.enc_words[r], rk), (ks.dec_words[r], ik)):
-                assert words == tuple(
-                    int.from_bytes(bytes(m[i][j] for i in range(4)), "big")
-                    for j in range(4)
-                )
+def _column_words(m):
+    return tuple(int.from_bytes(bytes(m[i][j] for i in range(4)), "big")
+                 for j in range(4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(key_bytes=st.sampled_from((16, 24, 32)), n_r=st.integers(1, 14),
+       key=st.binary(min_size=32, max_size=32))
+@example(key_bytes=32, n_r=14, key=bytes(range(32)))  # N_k = 8 SubWord step
+@example(key_bytes=16, n_r=1, key=bytes(32))  # no middle round keys
+def test_key_expansion_property(key_bytes, n_r, key):
+    # round_keys against the oracle, enc_words packing them, dec_words
+    # as the equivalent inverse cipher's keys (FIPS-197 5.3.5)
+    key = key[:key_bytes]
+    ks = key_expansion(key, n_r)
+    flat = [rk[i][j] for rk in ks.round_keys for j in range(4) for i in range(4)]
+    assert flat == [b for w in key_words_oracle(key, n_r) for b in w]
+    assert ks.enc_words == tuple(_column_words(rk) for rk in ks.round_keys)
+    assert len(ks.dec_words) == n_r + 1
+    assert ks.dec_words[0] == ks.enc_words[0]
+    assert ks.dec_words[n_r] == ks.enc_words[n_r]
+    for r in range(1, n_r):
+        assert ks.dec_words[r] == _column_words(inv_mix_columns(ks.round_keys[r]))
 
 
 def test_key_schedule_is_frozen():

@@ -4,7 +4,6 @@ import pytest
 
 from aeslab.core import encrypt_block, key_expansion
 from aeslab.modes import (
-    ModeConfig,
     PaddingError,
     cbc_decrypt,
     cbc_encrypt,
@@ -263,18 +262,18 @@ def test_residual_cbc_needs_iv(ks):
 
 
 # ---------------------------------------------------------------------------
-# ModeConfig
+# Mode/IV rules, each enforced by the wrapper that takes the mode
 
-def test_mode_config_validation():
-    ModeConfig("ecb")
-    ModeConfig("cbc", iv=bytes(16))
-    with pytest.raises(ValueError):
-        ModeConfig("cbc")  # CBC requires an IV
-    with pytest.raises(ValueError):
-        ModeConfig("ecb", iv=bytes(16))  # ECB must not carry one
-    with pytest.raises(ValueError):
-        ModeConfig("cbc", iv=bytes(8))
-    with pytest.raises(ValueError):
-        ModeConfig("ctr")
-    with pytest.raises(ValueError):
-        ModeConfig("ecb", padding="zeros")
+def test_wrappers_enforce_mode_rules(ks):
+    with pytest.raises(ValueError, match="CBC requires an IV"):
+        encrypt_with_residual(bytes(32), ks, "cbc")
+    with pytest.raises(ValueError, match="CBC requires an IV"):
+        decrypt_with_residual(bytes(32), ks, "cbc")
+    with pytest.raises(ValueError, match="ECB must not carry an IV"):
+        encrypt_blob(b"x", ks, "ecb", iv=bytes(16))
+    with pytest.raises(ValueError, match="ECB must not carry an IV"):
+        decrypt_blob(bytes(16), ks, "ecb", iv=bytes(16))
+    with pytest.raises(ValueError, match="IV must be 16 bytes"):
+        cbc_encrypt(bytes(16), ks, bytes(8))
+    with pytest.raises(ValueError, match="unknown mode 'ctr'"):
+        encrypt_blob(b"x", ks, "ctr")
