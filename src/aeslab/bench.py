@@ -19,13 +19,21 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 
 from . import core, variants
-from .core import key_expansion
-from .modes import cbc_decrypt, cbc_encrypt, ecb_decrypt, ecb_encrypt, pkcs7_pad
-from .variants import make_plan
+from .core import KEY_BITS, key_expansion
+from .modes import (
+    MODES,
+    decrypt_with_residual,
+    ecb_decrypt,
+    ecb_encrypt,
+    encrypt_with_residual,
+    pkcs7_pad,
+)
+from .variants import VARIANT_IDS, make_plan
 
-KEY_ROUNDS = {128: 10, 192: 12, 256: 14}
+OPS = ("encrypt", "decrypt")
 
 # Table-1 payload sizes (KiB of the three bitmap workloads).
 DEFAULT_SIZES = (117 * 1024, 263 * 1024, 468 * 1024)
@@ -44,9 +52,9 @@ REPORTED_TRANSFORM_GAIN_PCT = {
 @dataclass(frozen=True)
 class BenchConfig:
     sizes: tuple = DEFAULT_SIZES
-    key_sizes: tuple = (128, 192, 256)
-    variants: tuple = ("base", "opt1", "opt2", "optf")
-    modes: tuple = ("ecb", "cbc")
+    key_sizes: tuple = KEY_BITS
+    variants: tuple = VARIANT_IDS
+    modes: tuple = MODES
     ops: tuple = ("encrypt",)
     repetitions: int = 5
     warmup: int = 1
@@ -60,6 +68,15 @@ class BenchConfig:
             raise ValueError("warmup must be >= 0")
         if any(s <= 0 for s in self.sizes):
             raise ValueError("payload sizes must be positive")
+        for what, values, allowed in (
+            ("key size", self.key_sizes, KEY_BITS),
+            ("variant", self.variants, VARIANT_IDS),
+            ("mode", self.modes, MODES),
+            ("op", self.ops, OPS),
+        ):
+            for v in values:
+                if v not in allowed:
+                    raise ValueError(f"unknown {what} {v!r}, expected one of {allowed}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +106,7 @@ def _time_call(fn) -> float:
     return time.perf_counter() - t0
 
 
-def _expand(key: bytes, n_r: int, repetitions: int):
+def _expand(key: bytes, n_r: int | None, repetitions: int):
     """The key schedule, and the median time of `repetitions` further
     expansions of the same key (the first call warms up)."""
     ks = key_expansion(key, n_r)
@@ -99,18 +116,22 @@ def _expand(key: bytes, n_r: int, repetitions: int):
     return ks, expand_s
 
 
-def _measure_interleaved(fns: list, repetitions: int, warmup: int) -> list:
-    """Per-function sample lists, with repetitions taken round-robin
-    across the functions so a transient load spike lands on one
+def _verify_then_measure(cells: list, repetitions: int, warmup: int) -> list:
+    """(key, samples) for each (key, fn, expected) cell.  Every fn's
+    output is checked before any timing starts; the repetitions then run
+    round-robin across the cells, so a transient load spike lands on one
     repetition of many cells instead of every repetition of one cell."""
-    for fn in fns:
+    for key, fn, expected in cells:
+        if fn() != expected:
+            raise AssertionError(f"{'/'.join(map(str, key))} output disagrees with baseline")
+    for _key, fn, _expected in cells:
         for _ in range(warmup):
             fn()
-    samples = [[] for _ in fns]
+    samples = [[] for _ in cells]
     for _ in range(repetitions):
-        for i, fn in enumerate(fns):
+        for i, (_key, fn, _expected) in enumerate(cells):
             samples[i].append(_time_call(fn))
-    return samples
+    return [(key, s) for (key, _fn, _expected), s in zip(cells, samples)]
 
 
 def _result(label, size_bytes, key_bits, n_r, variant, mode, op,
@@ -137,23 +158,14 @@ def _result(label, size_bytes, key_bits, n_r, variant, mode, op,
     )
 
 
-def _cell_fn(mode, op, padded, reference_ct, ks, iv, plan):
-    if mode == "ecb" and op == "encrypt":
-        return (lambda: ecb_encrypt(padded, ks, plan)), reference_ct
-    if mode == "ecb":
-        return (lambda: ecb_decrypt(reference_ct, ks, plan)), padded
-    if op == "encrypt":
-        return (lambda: cbc_encrypt(padded, ks, iv, plan)), reference_ct
-    return (lambda: cbc_decrypt(reference_ct, ks, iv, plan)), padded
-
-
 def run_matrix(cfg: BenchConfig) -> list:
     """One result per (size x key size x variant x mode x op) cell.
 
     Payloads come from a generator seeded with cfg.seed, so re-running
     with the same seed reproduces them byte-for-byte.  Within each
     (size, key, mode) group the repetitions run interleaved across
-    variant/op cells.
+    variant/op cells.  Cells run the image-mode layout on the padded
+    payload: it is block-aligned, so the layout adds no tail and no copy.
     """
     rng = random.Random(cfg.seed)
     results = []
@@ -164,30 +176,26 @@ def run_matrix(cfg: BenchConfig) -> list:
         pad_s = time.perf_counter() - t0
         for key_bits in cfg.key_sizes:
             key = rng.randbytes(key_bits // 8)
-            n_r = cfg.rounds if cfg.rounds is not None else KEY_ROUNDS[key_bits]
-            ks, expand_s = _expand(key, n_r, cfg.repetitions)
+            ks, expand_s = _expand(key, cfg.rounds, cfg.repetitions)
+            n_r = ks.n_r
             iv = rng.randbytes(16)
             for mode in cfg.modes:
-                base_plan = make_plan("base", n_r)
-                if mode == "ecb":
-                    reference_ct = ecb_encrypt(padded, ks, base_plan)
-                else:
-                    reference_ct = cbc_encrypt(padded, ks, iv, base_plan)
+                mode_iv = iv if mode == "cbc" else None
+                reference_ct = encrypt_with_residual(
+                    padded, ks, mode, make_plan("base", n_r), mode_iv)
+                op_cells = {
+                    "encrypt": (encrypt_with_residual, padded, reference_ct),
+                    "decrypt": (decrypt_with_residual, reference_ct, padded),
+                }
                 cells = []
                 for variant in cfg.variants:
                     plan = make_plan(variant, n_r)
                     for op in cfg.ops:
-                        fn, expected = _cell_fn(mode, op, padded, reference_ct,
-                                                ks, iv, plan)
-                        if fn() != expected:
-                            raise AssertionError(
-                                f"{variant}/{mode}/{op} output disagrees with baseline"
-                            )
-                        cells.append((variant, op, fn))
-                all_samples = _measure_interleaved(
-                    [fn for _, _, fn in cells], cfg.repetitions, cfg.warmup,
-                )
-                for (variant, op, _fn), samples in zip(cells, all_samples):
+                        fn, data, expected = op_cells[op]
+                        fn = partial(fn, data, ks, mode, plan, mode_iv)
+                        cells.append(((variant, mode, op), fn, expected))
+                measured = _verify_then_measure(cells, cfg.repetitions, cfg.warmup)
+                for (variant, mode, op), samples in measured:
                     label = f"{size}B/{key_bits}k/{n_r}r/{variant}/{mode}/{op}"
                     results.append(_result(
                         label, len(padded), key_bits, n_r, variant, mode,
@@ -219,25 +227,18 @@ def round_sweep(
         payload = pkcs7_pad(rng.randbytes(size))
         key = rng.randbytes(key_bits // 8)
         cells = []
+        expand = {}
         for n_r in rounds:
-            ks, expand_s = _expand(key, n_r, repetitions)
+            ks, expand[n_r] = _expand(key, n_r, repetitions)
             plan = make_plan(variant, n_r)
             ct = ecb_encrypt(payload, ks, plan)
-            for op, fn, expected in (
-                ("encrypt", (lambda ks=ks, plan=plan: ecb_encrypt(payload, ks, plan)), ct),
-                ("decrypt", (lambda ks=ks, plan=plan, ct=ct: ecb_decrypt(ct, ks, plan)), payload),
-            ):
-                if fn() != expected:
-                    raise AssertionError(f"round sweep {op} self-check failed")
-                cells.append((n_r, op, fn, expand_s))
-        all_samples = _measure_interleaved(
-            [fn for _, _, fn, _ in cells], repetitions, warmup,
-        )
-        for (n_r, op, _fn, expand_s), samples in zip(cells, all_samples):
+            cells.append(((n_r, "encrypt"), partial(ecb_encrypt, payload, ks, plan), ct))
+            cells.append(((n_r, "decrypt"), partial(ecb_decrypt, ct, ks, plan), payload))
+        for (n_r, op), samples in _verify_then_measure(cells, repetitions, warmup):
             label = f"{size}B/{key_bits}k/{n_r}r/{variant}/ecb/{op}"
             results.append(_result(
                 label, len(payload), key_bits, n_r, variant, "ecb", op,
-                samples, warmup, expand_s,
+                samples, warmup, expand[n_r],
             ))
     return results
 
@@ -312,13 +313,9 @@ def microbench_all(iterations: int = 1_000_000, repetitions: int = 5, seed: int 
 # ---------------------------------------------------------------------------
 # Reporting
 
-def emit_report(results: list, fmt: str = "csv", out=None):
-    """Render results as CSV or structured text.
-
-    `out` may be a path (written and returned), a file-like object, or
-    None (the rendered string is returned).  Column order is stable:
-    configuration fields first, then statistics.
-    """
+def emit_report(results: list, fmt: str = "csv") -> str:
+    """Render results as CSV or structured text.  Column order is
+    stable: configuration fields first, then statistics."""
     if not results:
         raise ValueError("no results to report")
     names = [f.name for f in fields(BenchResult)]
@@ -336,15 +333,7 @@ def emit_report(results: list, fmt: str = "csv", out=None):
             buf.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    text = buf.getvalue()
-    if out is None:
-        return text
-    if isinstance(out, str):
-        with open(out, "w") as fh:
-            fh.write(text)
-        return out
-    out.write(text)
-    return out
+    return buf.getvalue()
 
 
 def variant_gain_lines(results: list) -> list:

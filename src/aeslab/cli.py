@@ -12,8 +12,8 @@ import random
 import sys
 
 from . import analysis, bench, bmp, costmodel, modes
-from .core import ROUNDS_BY_KEY_BYTES, key_expansion
-from .modes import PaddingError
+from .core import KEY_BITS, ROUNDS_BY_KEY_BYTES, key_expansion
+from .modes import MODES, PaddingError
 from .variants import VARIANT_IDS, make_plan
 
 EXIT_OK = 0
@@ -33,7 +33,7 @@ class InputError(Exception):
 def _add_key_args(p):
     p.add_argument("--key-hex", help="key as hex text")
     p.add_argument("--key-file", help="file holding the key as hex text")
-    p.add_argument("--key-size", type=int, choices=(128, 192, 256),
+    p.add_argument("--key-size", type=int, choices=KEY_BITS,
                    help="expected key size in bits (validated against the key)")
     p.add_argument("--rounds", type=int, default=None,
                    help="nonstandard round count (default: standard for the key size)")
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a file")
         _add_key_args(p)
         _add_io_args(p)
-        p.add_argument("--mode", required=True, choices=("ecb", "cbc"))
+        p.add_argument("--mode", required=True, choices=MODES)
         p.add_argument("--iv-hex", help="16-byte IV as hex (CBC only)")
         p.add_argument("--format", default="raw", choices=("raw", "bmp-image-mode"),
                        help="raw: PKCS#7-padded whole file (CBC output is IV||ciphertext); "
@@ -84,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default=None,
                    help="comma-separated payload sizes in bytes "
                         "(default: the three bitmap workload sizes)")
-    p.add_argument("--key-sizes", default="128,192,256")
-    p.add_argument("--variants", default="base,opt1,opt2,optf")
-    p.add_argument("--modes", default="ecb,cbc")
+    p.add_argument("--key-sizes", default=",".join(map(str, KEY_BITS)))
+    p.add_argument("--variants", default=",".join(VARIANT_IDS))
+    p.add_argument("--modes", default=",".join(MODES))
     p.add_argument("--ops", default="encrypt")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
@@ -297,7 +297,7 @@ def _cmd_bench(args) -> int:
         results = bench.run_matrix(cfg)
         summary = bench.variant_gain_lines(results)
 
-    report = bench.emit_report(results, args.report, None)
+    report = bench.emit_report(results, args.report)
     _write_text(args.out_path, report)
     for line in summary:
         print(line)

@@ -37,6 +37,7 @@ INV_MIX_MATRIX = ((0x0E, 0x0B, 0x0D, 0x09),
 BLOCK_SIZE = 16
 
 ROUNDS_BY_KEY_BYTES = {16: 10, 24: 12, 32: 14}
+KEY_BITS = tuple(8 * n for n in ROUNDS_BY_KEY_BYTES)
 
 State = list  # 4 rows of 4 ints
 

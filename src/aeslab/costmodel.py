@@ -9,7 +9,9 @@ timings for qualitative comparison only.
 
 from dataclasses import dataclass
 
-STANDARD_KEY_ROUNDS = ((128, 10), (192, 12), (256, 14))
+from .core import ROUNDS_BY_KEY_BYTES
+
+STANDARD_KEY_ROUNDS = tuple((8 * n, n_r) for n, n_r in ROUNDS_BY_KEY_BYTES.items())
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,16 @@
 Three tiers, all bit-compatible with the baseline:
 
 * loop-unrolled transformations (the per-function optimizations);
-* table-driven MixColumns/InvMixColumns via the 6x256 product table,
-  so no shift-and-xor multiplication executes on the data path;
+* table-driven MixColumns via the 6x256 product table, so no
+  shift-and-xor multiplication executes on the data path;
 * fused T-table rounds: one set of four 256x4-byte tables per direction
   combines SubBytes, ShiftRows, and MixColumns into four lookups plus
   XORs per output column (8 KiB total for both directions).
 
-A VariantPlan selects per round between the baseline path and the
-T-table path, yielding the Base / Opt1 / Opt2 / OptF scenarios.
+The VARIANTS table is the one registry of the ladder: each entry's
+rule picks its fused rounds, and its table list gives its static
+footprint.  A VariantPlan selects per round between the baseline path
+and the T-table path, yielding the Base / Opt1 / Opt2 / OptF scenarios.
 
 The block kernels keep the state as four 32-bit column words (big-endian,
 row 0 in the top byte), unpacked from and packed into the block with
@@ -23,6 +25,7 @@ matrix and serve the transform microbenchmarks.
 
 import struct
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .core import (
     BLOCK_SIZE,
@@ -41,13 +44,6 @@ from .core import (
 )
 from .gf256 import MUL_TABLE, SBOX_PAIR, gf_mul
 
-VARIANT_IDS = ("base", "opt1", "opt2", "optf")
-
-# Footprint-report pseudo-configuration: S-boxes plus the 6x256 product
-# table, with MixColumns kept as a separate (table-driven) step.
-MULTABLE_CONFIG = "multable"
-
-
 @dataclass(frozen=True)
 class TTables:
     """Fused round tables: 4 encrypt + 4 decrypt tables of 256 4-byte entries.
@@ -59,9 +55,6 @@ class TTables:
 
     enc: tuple
     dec: tuple
-
-    def enc_entry(self, table: int, x: int) -> bytes:
-        return self.enc[table][x].to_bytes(4, "big")
 
     @property
     def enc_footprint_bytes(self) -> int:
@@ -123,24 +116,46 @@ def build_t_tables() -> TTables:
 T_TABLES = build_t_tables()
 
 
+class Variant(NamedTuple):
+    """fused(i) is True when round i + 1 takes the T-table path; None
+    marks a footprint-only configuration with no round plan.  tables
+    names the lookup-table categories the variant keeps resident."""
+
+    fused: Callable[[int], bool] | None
+    tables: tuple
+
+
+# Base: no optimized rounds.  Opt1: every other round, starting with
+# round 1.  Opt2: period-4 pattern of two optimized then two baseline
+# rounds.  OptF: all rounds optimized.  multable: S-boxes plus the 6x256
+# product table, with MixColumns kept as a separate (table-driven) step;
+# it is reported in the footprint table only.
+VARIANTS = {
+    "base": Variant(lambda i: False, ("sbox",)),
+    "opt1": Variant(lambda i: i % 2 == 0, ("sbox", "t_tables")),
+    "opt2": Variant(lambda i: i % 4 < 2, ("sbox", "t_tables")),
+    "optf": Variant(lambda i: True, ("sbox", "t_tables")),
+    "multable": Variant(None, ("sbox", "mul_table")),
+}
+
+VARIANT_IDS = tuple(vid for vid, v in VARIANTS.items() if v.fused is not None)
+
+
+def _variant(variant_id: str) -> Variant:
+    try:
+        return VARIANTS[variant_id.lower()]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant_id!r}") from None
+
+
 def make_plan(variant_id: str, n_r: int) -> VariantPlan:
-    """Base: no optimized rounds.  Opt1: every other round, starting with
-    round 1.  Opt2: period-4 pattern of two optimized then two baseline
-    rounds.  OptF: all rounds optimized."""
+    """The per-round plan of a runnable variant (one of VARIANT_IDS)."""
     if n_r < 1:
         raise ValueError(f"round count must be >= 1, got {n_r}")
-    vid = variant_id.lower()
-    if vid == "base":
-        flags = (False,) * n_r
-    elif vid == "opt1":
-        flags = tuple(i % 2 == 0 for i in range(n_r))
-    elif vid == "opt2":
-        flags = tuple(i % 4 < 2 for i in range(n_r))
-    elif vid == "optf":
-        flags = (True,) * n_r
-    else:
-        raise ValueError(f"unknown variant {variant_id!r}")
-    return VariantPlan(vid, flags)
+    fused = _variant(variant_id).fused
+    if fused is None:
+        raise ValueError(f"variant {variant_id!r} has no round plan")
+    return VariantPlan(variant_id.lower(), tuple(fused(i) for i in range(n_r)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +201,6 @@ def table_mix_columns(state: State, table=MUL_TABLE) -> State:
         out[1][j] = a0 ^ m2[a1] ^ m3[a2] ^ a3
         out[2][j] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
         out[3][j] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
-    return out
-
-
-def table_inv_mix_columns(state: State, table=MUL_TABLE) -> State:
-    m9 = table[0x09]
-    mb = table[0x0B]
-    md = table[0x0D]
-    me = table[0x0E]
-    out = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        a0 = state[0][j]
-        a1 = state[1][j]
-        a2 = state[2][j]
-        a3 = state[3][j]
-        out[0][j] = me[a0] ^ mb[a1] ^ md[a2] ^ m9[a3]
-        out[1][j] = m9[a0] ^ me[a1] ^ mb[a2] ^ md[a3]
-        out[2][j] = md[a0] ^ m9[a1] ^ me[a2] ^ mb[a3]
-        out[3][j] = mb[a0] ^ md[a1] ^ m9[a2] ^ me[a3]
     return out
 
 
@@ -374,12 +371,10 @@ def static_footprint(variant_id: str) -> dict:
     table, and the fused round tables.  (Compiled code size is
     toolchain-dependent and not reported.)
     """
-    vid = variant_id.lower()
-    sbox = SBOX_PAIR.footprint_bytes
-    if vid == "base":
-        return {"sbox": sbox, "mul_table": 0, "t_tables": 0}
-    if vid in ("opt1", "opt2", "optf"):
-        return {"sbox": sbox, "mul_table": 0, "t_tables": T_TABLES.footprint_bytes}
-    if vid == MULTABLE_CONFIG:
-        return {"sbox": sbox, "mul_table": MUL_TABLE.footprint_bytes, "t_tables": 0}
-    raise ValueError(f"unknown variant {variant_id!r}")
+    tables = _variant(variant_id).tables
+    sizes = {
+        "sbox": SBOX_PAIR.footprint_bytes,
+        "mul_table": MUL_TABLE.footprint_bytes,
+        "t_tables": T_TABLES.footprint_bytes,
+    }
+    return {name: size if name in tables else 0 for name, size in sizes.items()}

@@ -225,6 +225,20 @@ def test_bench_cli_small_run(tmp_path, capsys):
     assert "optf" in summary and "vs base" in summary
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--modes", "ctr"),
+    ("--ops", "frobnicate"),
+    ("--key-sizes", "512"),
+    ("--variants", "turbo"),
+])
+def test_bench_cli_rejects_unknown_names(capsys, flag, value):
+    assert run("bench", "--sizes", "512", flag, value) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert value in captured.err
+
+
 def test_bench_cli_sweep(tmp_path):
     out_csv = tmp_path / "sweep.csv"
     assert run("bench", "--sizes", "512", "--sweep-rounds", "1,2",

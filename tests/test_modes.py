@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aeslab import modes
 from aeslab.core import encrypt_block, key_expansion
 from aeslab.modes import (
     PaddingError,
@@ -20,6 +21,9 @@ from aeslab.modes import (
 from aeslab.variants import make_plan
 
 from reference import cbc_encrypt_oracle
+
+# The AES-128 Base plan: the core round functions on every round.
+BASE = make_plan("base", 10)
 
 
 @pytest.fixture(scope="module")
@@ -67,36 +71,36 @@ def test_unpad_rejects_bad_patterns():
 
 def test_ecb_identical_blocks_leak(ks):
     data = b"\xAB" * 32
-    ct = ecb_encrypt(data, ks)
+    ct = ecb_encrypt(data, ks, BASE)
     assert ct[:16] == ct[16:]
 
 
 def test_ecb_single_block_is_encrypt_block(ks):
     block = bytes(range(16))
-    assert ecb_encrypt(block, ks) == encrypt_block(block, ks)
+    assert ecb_encrypt(block, ks, BASE) == encrypt_block(block, ks)
 
 
 def test_ecb_roundtrip(ks):
     rng = random.Random(41)
     for _ in range(50):
         data = rng.randbytes(16 * rng.randrange(1, 9))
-        assert ecb_decrypt(ecb_encrypt(data, ks), ks) == data
+        assert ecb_decrypt(ecb_encrypt(data, ks, BASE), ks, BASE) == data
 
 
 def test_ecb_rejects_misaligned(ks):
     with pytest.raises(ValueError):
-        ecb_encrypt(b"x" * 15, ks)
+        ecb_encrypt(b"x" * 15, ks, BASE)
     with pytest.raises(ValueError):
-        ecb_decrypt(b"x" * 17, ks)
+        ecb_decrypt(b"x" * 17, ks, BASE)
 
 
 def test_ecb_is_stateless_across_blocks(ks):
     rng = random.Random(42)
     blocks = [rng.randbytes(16) for _ in range(8)]
-    ct_blocks = [ecb_encrypt(b"".join(blocks), ks)[i * 16:(i + 1) * 16] for i in range(8)]
+    ct_blocks = [ecb_encrypt(b"".join(blocks), ks, BASE)[i * 16:(i + 1) * 16] for i in range(8)]
     order = list(range(8))
     rng.shuffle(order)
-    permuted_ct = ecb_encrypt(b"".join(blocks[i] for i in order), ks)
+    permuted_ct = ecb_encrypt(b"".join(blocks[i] for i in order), ks, BASE)
     assert permuted_ct == b"".join(ct_blocks[i] for i in order)
 
 
@@ -105,7 +109,7 @@ def test_ecb_is_stateless_across_blocks(ks):
 
 def test_cbc_zero_iv_single_block_equals_ecb(ks):
     block = bytes(range(16))
-    assert cbc_encrypt(block, ks, bytes(16)) == ecb_encrypt(block, ks)
+    assert cbc_encrypt(block, ks, bytes(16), BASE) == ecb_encrypt(block, ks, BASE)
 
 
 # NIST SP 800-38A F.1.1/F.2.1 four-block message
@@ -130,9 +134,9 @@ SP800_38A_CBC_CT = bytes.fromhex(
 
 
 def test_ecb_known_answer(ks):
-    ct = ecb_encrypt(SP800_38A_PT, ks)
+    ct = ecb_encrypt(SP800_38A_PT, ks, BASE)
     assert ct == SP800_38A_ECB_CT
-    assert ecb_decrypt(ct, ks) == SP800_38A_PT
+    assert ecb_decrypt(ct, ks, BASE) == SP800_38A_PT
 
 
 def test_cbc_known_answer(ks):
@@ -141,8 +145,8 @@ def test_cbc_known_answer(ks):
     iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     assert cbc_encrypt_oracle(SP800_38A_PT, key, iv) == SP800_38A_CBC_CT
-    assert cbc_encrypt(SP800_38A_PT, ks, iv) == SP800_38A_CBC_CT
-    assert cbc_decrypt(SP800_38A_CBC_CT, ks, iv) == SP800_38A_PT
+    assert cbc_encrypt(SP800_38A_PT, ks, iv, BASE) == SP800_38A_CBC_CT
+    assert cbc_decrypt(SP800_38A_CBC_CT, ks, iv, BASE) == SP800_38A_PT
 
 
 def test_cbc_hides_identical_blocks():
@@ -150,7 +154,7 @@ def test_cbc_hides_identical_blocks():
     data = b"\x77" * 32
     for _ in range(1000):
         ks2 = key_expansion(rng.randbytes(16))
-        ct = cbc_encrypt(data, ks2, rng.randbytes(16))
+        ct = cbc_encrypt(data, ks2, rng.randbytes(16), BASE)
         assert ct[:16] != ct[16:]
 
 
@@ -160,21 +164,21 @@ def test_cbc_definitional_recompute(ks):
         n_blocks = rng.randrange(1, 65)
         data = rng.randbytes(16 * n_blocks)
         iv = rng.randbytes(16)
-        ct = cbc_encrypt(data, ks, iv)
+        ct = cbc_encrypt(data, ks, iv, BASE)
         prev = iv
         for i in range(n_blocks):
             m = data[i * 16:(i + 1) * 16]
             c = ct[i * 16:(i + 1) * 16]
             assert c == encrypt_block(bytes(a ^ b for a, b in zip(m, prev)), ks)
             prev = c
-        assert cbc_decrypt(ct, ks, iv) == data
+        assert cbc_decrypt(ct, ks, iv, BASE) == data
 
 
 def test_cbc_with_variant_plan_matches_base(ks):
     rng = random.Random(45)
     data = rng.randbytes(16 * 8)
     iv = rng.randbytes(16)
-    base_ct = cbc_encrypt(data, ks, iv)
+    base_ct = cbc_encrypt(data, ks, iv, BASE)
     for vid in ("opt1", "opt2", "optf"):
         plan = make_plan(vid, ks.n_r)
         assert cbc_encrypt(data, ks, iv, plan) == base_ct
@@ -183,9 +187,9 @@ def test_cbc_with_variant_plan_matches_base(ks):
 
 def test_cbc_rejects_bad_iv_and_length(ks):
     with pytest.raises(ValueError):
-        cbc_encrypt(bytes(16), ks, bytes(15))
+        cbc_encrypt(bytes(16), ks, bytes(15), BASE)
     with pytest.raises(ValueError):
-        cbc_decrypt(bytes(15), ks, bytes(16))
+        cbc_decrypt(bytes(15), ks, bytes(16), BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +215,33 @@ def test_random_iv_seeded_reproducible():
 
 def test_blob_roundtrip_ecb(ks):
     data = b"attack at dawn"
-    blob = encrypt_blob(data, ks, "ecb")
+    blob = encrypt_blob(data, ks, "ecb", BASE)
     assert len(blob) == len(pkcs7_pad(data))
-    assert decrypt_blob(blob, ks, "ecb") == data
+    assert decrypt_blob(blob, ks, "ecb", BASE) == data
 
 
 def test_blob_roundtrip_cbc_with_iv_prefix(ks):
     rng = random.Random(46)
     data = rng.randbytes(100)
-    blob = encrypt_blob(data, ks, "cbc", rng=rng)
+    blob = encrypt_blob(data, ks, "cbc", BASE, rng=rng)
     iv, ct = blob[:16], blob[16:]
     assert len(ct) == len(pkcs7_pad(data))
-    assert cbc_decrypt(ct, ks, iv) == pkcs7_pad(data)
-    assert decrypt_blob(blob, ks, "cbc") == data
+    assert cbc_decrypt(ct, ks, iv, BASE) == pkcs7_pad(data)
+    assert decrypt_blob(blob, ks, "cbc", BASE) == data
     # explicit IV variant: caller strips the prefix themselves
-    assert decrypt_blob(ct, ks, "cbc", iv=iv) == data
+    assert decrypt_blob(ct, ks, "cbc", BASE, iv=iv) == data
 
 
 def test_blob_wrong_key_fails_padding(ks):
-    blob = encrypt_blob(b"payload", ks, "cbc", rng=random.Random(47))
+    blob = encrypt_blob(b"payload", ks, "cbc", BASE, rng=random.Random(47))
     other = key_expansion(bytes(16))
     with pytest.raises(PaddingError):
-        decrypt_blob(blob, other, "cbc")
+        decrypt_blob(blob, other, "cbc", BASE)
 
 
 def test_blob_ecb_refuses_iv(ks):
     with pytest.raises(ValueError):
-        encrypt_blob(b"x", ks, "ecb", iv=bytes(16))
+        encrypt_blob(b"x", ks, "ecb", BASE, iv=bytes(16))
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +250,19 @@ def test_blob_ecb_refuses_iv(ks):
 def test_residual_preserves_length_and_tail(ks):
     rng = random.Random(48)
     data = rng.randbytes(1000)  # 62 blocks + 8-byte tail
-    out = encrypt_with_residual(data, ks, "ecb")
+    out = encrypt_with_residual(data, ks, "ecb", BASE)
     assert len(out) == len(data)
     assert out[-8:] == data[-8:]
     assert out[:992] != data[:992]
-    assert decrypt_with_residual(out, ks, "ecb") == data
+    assert decrypt_with_residual(out, ks, "ecb", BASE) == data
 
 
 def test_residual_cbc_needs_iv(ks):
     with pytest.raises(ValueError):
-        encrypt_with_residual(bytes(32), ks, "cbc")
+        encrypt_with_residual(bytes(32), ks, "cbc", BASE)
     iv = bytes(range(16))
-    out = encrypt_with_residual(bytes(33), ks, "cbc", iv=iv)
-    assert decrypt_with_residual(out, ks, "cbc", iv=iv) == bytes(33)
+    out = encrypt_with_residual(bytes(33), ks, "cbc", BASE, iv=iv)
+    assert decrypt_with_residual(out, ks, "cbc", BASE, iv=iv) == bytes(33)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +270,58 @@ def test_residual_cbc_needs_iv(ks):
 
 def test_wrappers_enforce_mode_rules(ks):
     with pytest.raises(ValueError, match="CBC requires an IV"):
-        encrypt_with_residual(bytes(32), ks, "cbc")
+        encrypt_with_residual(bytes(32), ks, "cbc", BASE)
     with pytest.raises(ValueError, match="CBC requires an IV"):
-        decrypt_with_residual(bytes(32), ks, "cbc")
+        decrypt_with_residual(bytes(32), ks, "cbc", BASE)
     with pytest.raises(ValueError, match="ECB must not carry an IV"):
-        encrypt_blob(b"x", ks, "ecb", iv=bytes(16))
+        encrypt_blob(b"x", ks, "ecb", BASE, iv=bytes(16))
     with pytest.raises(ValueError, match="ECB must not carry an IV"):
-        decrypt_blob(bytes(16), ks, "ecb", iv=bytes(16))
+        decrypt_blob(bytes(16), ks, "ecb", BASE, iv=bytes(16))
     with pytest.raises(ValueError, match="IV must be 16 bytes"):
-        cbc_encrypt(bytes(16), ks, bytes(8))
+        cbc_encrypt(bytes(16), ks, bytes(8), BASE)
     with pytest.raises(ValueError, match="unknown mode 'ctr'"):
-        encrypt_blob(b"x", ks, "ctr")
+        encrypt_blob(b"x", ks, "ctr", BASE)
+    with pytest.raises(ValueError, match="unknown mode 'ctr'"):
+        decrypt_blob(bytes(32), ks, "ctr", BASE)
+    with pytest.raises(ValueError, match="unknown mode 'ctr'"):
+        encrypt_with_residual(bytes(32), ks, "ctr", BASE)
+    with pytest.raises(ValueError, match="unknown mode 'ctr'"):
+        decrypt_with_residual(bytes(32), ks, "ctr", BASE)
+
+
+# ---------------------------------------------------------------------------
+# Traced names: span tracers replace these module attributes, so every
+# call must look them up in the modes module when it runs
+
+def test_layout_wrappers_call_through_module_globals(ks, monkeypatch):
+    calls = {}
+
+    def counting(name):
+        fn = getattr(modes, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(modes, name, wrapper)
+
+    for name in ("ecb_encrypt", "cbc_decrypt", "encrypt_block_variant",
+                 "decrypt_block_variant"):
+        counting(name)
+    plan = make_plan("opt1", ks.n_r)
+    iv = bytes(range(16))
+    data = bytes(40)  # 2 whole blocks + 8-byte tail; padded: 3 blocks
+    for mode, mode_iv in (("ecb", None), ("cbc", iv)):
+        blob = encrypt_blob(data, ks, mode, plan, mode_iv)
+        assert decrypt_blob(blob, ks, mode, plan) == data  # CBC: IV prefix
+        out = encrypt_with_residual(data, ks, mode, plan, mode_iv)
+        assert decrypt_with_residual(out, ks, mode, plan, mode_iv) == data
+    # ECB runs encrypt_blob and encrypt_with_residual through ecb_encrypt,
+    # CBC runs decrypt_blob and decrypt_with_residual through cbc_decrypt;
+    # each mode moves 3 + 2 blocks per direction.
+    assert calls == {
+        "ecb_encrypt": 2,
+        "cbc_decrypt": 2,
+        "encrypt_block_variant": 2 * (3 + 2),
+        "decrypt_block_variant": 2 * (3 + 2),
+    }
