@@ -68,6 +68,8 @@ class BenchConfig:
             raise ValueError("warmup must be >= 0")
         if any(s <= 0 for s in self.sizes):
             raise ValueError("payload sizes must be positive")
+        if self.rounds is not None and self.rounds < 1:
+            raise ValueError(f"round count must be >= 1, got {self.rounds}")
         for what, values, allowed in (
             ("key size", self.key_sizes, KEY_BITS),
             ("variant", self.variants, VARIANT_IDS),

@@ -84,14 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default=None,
                    help="comma-separated payload sizes in bytes "
                         "(default: the three bitmap workload sizes)")
-    p.add_argument("--key-sizes", default=",".join(map(str, KEY_BITS)))
-    p.add_argument("--variants", default=",".join(VARIANT_IDS))
-    p.add_argument("--modes", default=",".join(MODES))
-    p.add_argument("--ops", default="encrypt")
+    p.add_argument("--key-sizes",
+                   help=f"matrix key sizes in bits (default: {','.join(map(str, KEY_BITS))})")
+    p.add_argument("--variants", help=f"matrix variants (default: {','.join(VARIANT_IDS)})")
+    p.add_argument("--modes", help=f"matrix modes (default: {','.join(MODES)})")
+    p.add_argument("--ops", help="matrix ops (default: encrypt)")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--rounds", type=int, default=None,
+                   help="matrix round count (default: standard for each key size)")
     p.add_argument("--sweep-rounds", default=None,
                    help="run a round-count sweep instead of the matrix, e.g. 2,4,6,8,10")
     p.add_argument("--micro", action="store_true",
@@ -264,7 +266,17 @@ def _split_ints(text: str, what: str) -> tuple:
         raise UsageError(f"bad {what}: {e}") from e
 
 
+# Options of the matrix run; --sweep-rounds and --micro take none of them.
+_MATRIX_OPTIONS = ("key_sizes", "variants", "modes", "ops", "rounds")
+
+
 def _cmd_bench(args) -> int:
+    given = {name: getattr(args, name) for name in _MATRIX_OPTIONS
+             if getattr(args, name) is not None}
+    if given and (args.micro or args.sweep_rounds):
+        run = "--micro" if args.micro else "--sweep-rounds"
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise UsageError(f"{run} takes no matrix options: {flags}")
     if args.micro:
         results = bench.microbench_all(args.micro_iters, max(args.reps, 3), args.seed)
         summary = bench.microbench_gain_lines(results)
@@ -280,17 +292,19 @@ def _cmd_bench(args) -> int:
         summary = bench.sweep_growth_lines(results)
     else:
         sizes = _split_ints(args.sizes, "--sizes") if args.sizes else bench.DEFAULT_SIZES
+        # Options left out keep BenchConfig's defaults.
+        if "key_sizes" in given:
+            given["key_sizes"] = _split_ints(given["key_sizes"], "--key-sizes")
+        for name in ("variants", "modes", "ops"):
+            if name in given:
+                given[name] = tuple(given[name].split(","))
         try:
             cfg = bench.BenchConfig(
                 sizes=sizes,
-                key_sizes=_split_ints(args.key_sizes, "--key-sizes"),
-                variants=tuple(args.variants.split(",")),
-                modes=tuple(args.modes.split(",")),
-                ops=tuple(args.ops.split(",")),
                 repetitions=args.reps,
                 warmup=args.warmup,
                 seed=args.seed,
-                rounds=args.rounds,
+                **given,
             )
         except ValueError as e:
             raise UsageError(str(e)) from e

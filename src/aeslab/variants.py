@@ -16,15 +16,20 @@ and the T-table path, yielding the Base / Opt1 / Opt2 / OptF scenarios.
 
 The block kernels keep the state as four 32-bit column words (big-endian,
 row 0 in the top byte), unpacked from and packed into the block with
-struct, and XOR the schedule's packed key words.  The state becomes the
-baseline 4x4 matrix only where a plan switches to baseline rounds, runs
-the core round functions there, and is packed back into words before
-the next fused round.  The per-transform functions below work on the
-matrix and serve the transform microbenchmarks.
+struct, and XOR the schedule's packed key words.  Each plan groups its
+middle rounds into runs of one path (VariantPlan.runs).  In a fused
+run, every round takes its 16 state bytes from one struct pack of the
+four words (byte 4c + i is row i of column c) and indexes the T-tables
+by them; the optimized final round indexes the S-box the same way.
+The state becomes the baseline 4x4 matrix only for a baseline run,
+which calls the core round functions, and is packed back into words
+after it.  The per-transform functions below work on the matrix and
+serve the transform microbenchmarks.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -72,10 +77,24 @@ class TTables:
 @dataclass(frozen=True)
 class VariantPlan:
     """Per-round strategy: round_flags[r-1] is True when round r (1-based)
-    takes the optimized path."""
+    takes the optimized path.
+
+    runs groups rounds 1..n_r-1 into maximal runs that take the same
+    path, as (fused, first, stop) for rounds first..stop-1 in order; the
+    final round, which has no MixColumns, is not part of any run.
+    """
 
     variant_id: str
     round_flags: tuple
+    runs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        runs, first = [], 1
+        for fused, group in groupby(self.round_flags[:-1]):
+            stop = first + len(tuple(group))
+            runs.append((fused, first, stop))
+            first = stop
+        object.__setattr__(self, "runs", tuple(runs))
 
     @property
     def n_r(self) -> int:
@@ -231,29 +250,26 @@ def _columns(state: State) -> tuple:
     )
 
 
-def _check_call(block: bytes, ks: KeySchedule, plan: VariantPlan) -> None:
-    if len(block) != BLOCK_SIZE:
-        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    if plan.n_r != ks.n_r:
-        raise ValueError(
-            f"plan covers {plan.n_r} rounds but schedule has {ks.n_r}"
-        )
-
-
 def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
     """Encrypt one block, choosing per round between the baseline path and
     the T-table path.  Ciphertext is bit-identical for every plan.
 
-    A fused round is SubBytes + ShiftRows + MixColumns + AddRoundKey as
-    16 T-table lookups plus XORs on the column words.  The final round
-    has no MixColumns, so its optimized path takes S-box bytes shifted
-    into place instead of table words.
+    The rounds run as plan.runs.  A fused run takes each round's 16 state
+    bytes from one struct pack of the column words, then does
+    SubBytes + ShiftRows + MixColumns + AddRoundKey as 16 T-table
+    lookups by those bytes plus XORs.  A baseline run turns the words
+    into the 4x4 matrix, runs the core round functions and packs the
+    words back.  The final round has no MixColumns, so its optimized
+    path takes S-box bytes shifted into place instead of table words.
     """
-    _check_call(block, ks, plan)
-    n_r = ks.n_r
+    if len(block) != BLOCK_SIZE:
+        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
     flags = plan.round_flags
-    rk = ks.round_keys
+    n_r = ks.n_r
+    if len(flags) != n_r:
+        raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     w = ks.enc_words
+    pack = _BLOCK_WORDS.pack
     t0, t1, t2, t3 = T_TABLES.enc
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
     k0, k1, k2, k3 = w[0]
@@ -261,43 +277,39 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     s1 ^= k1
     s2 ^= k2
     s3 ^= k3
-    r = 1
-    while r < n_r:
-        if flags[r - 1]:
-            k0, k1, k2, k3 = w[r]
-            s0, s1, s2, s3 = (
-                t0[s0 >> 24] ^ t1[s1 >> 16 & 0xFF] ^ t2[s2 >> 8 & 0xFF] ^ t3[s3 & 0xFF] ^ k0,
-                t0[s1 >> 24] ^ t1[s2 >> 16 & 0xFF] ^ t2[s3 >> 8 & 0xFF] ^ t3[s0 & 0xFF] ^ k1,
-                t0[s2 >> 24] ^ t1[s3 >> 16 & 0xFF] ^ t2[s0 >> 8 & 0xFF] ^ t3[s1 & 0xFF] ^ k2,
-                t0[s3 >> 24] ^ t1[s0 >> 16 & 0xFF] ^ t2[s1 >> 8 & 0xFF] ^ t3[s2 & 0xFF] ^ k3,
-            )
-            r += 1
+    for fused, first, stop in plan.runs:
+        if fused:
+            for k0, k1, k2, k3 in w[first:stop]:
+                (b0, b1, b2, b3, b4, b5, b6, b7,
+                 b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
+                s0 = t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15] ^ k0
+                s1 = t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3] ^ k1
+                s2 = t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7] ^ k2
+                s3 = t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11] ^ k3
         else:
+            rk = ks.round_keys
             s = _matrix(s0, s1, s2, s3)
-            while r < n_r and not flags[r - 1]:
+            for r in range(first, stop):
                 s = sub_bytes(s)
                 s = shift_rows(s)
                 s = mix_columns(s)
                 s = add_round_key(s, rk[r])
-                r += 1
             s0, s1, s2, s3 = _columns(s)
-    if not flags[n_r - 1]:
+    if not flags[-1]:
         s = _matrix(s0, s1, s2, s3)
         s = sub_bytes(s)
         s = shift_rows(s)
-        s = add_round_key(s, rk[n_r])
+        s = add_round_key(s, ks.round_keys[n_r])
         return store_state(s)
     box = S_BOX
     k0, k1, k2, k3 = w[n_r]
-    return _BLOCK_WORDS.pack(
-        (box[s0 >> 24] << 24 | box[s1 >> 16 & 0xFF] << 16
-         | box[s2 >> 8 & 0xFF] << 8 | box[s3 & 0xFF]) ^ k0,
-        (box[s1 >> 24] << 24 | box[s2 >> 16 & 0xFF] << 16
-         | box[s3 >> 8 & 0xFF] << 8 | box[s0 & 0xFF]) ^ k1,
-        (box[s2 >> 24] << 24 | box[s3 >> 16 & 0xFF] << 16
-         | box[s0 >> 8 & 0xFF] << 8 | box[s1 & 0xFF]) ^ k2,
-        (box[s3 >> 24] << 24 | box[s0 >> 16 & 0xFF] << 16
-         | box[s1 >> 8 & 0xFF] << 8 | box[s2 & 0xFF]) ^ k3,
+    (b0, b1, b2, b3, b4, b5, b6, b7,
+     b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
+    return pack(
+        (box[b0] << 24 | box[b5] << 16 | box[b10] << 8 | box[b15]) ^ k0,
+        (box[b4] << 24 | box[b9] << 16 | box[b14] << 8 | box[b3]) ^ k1,
+        (box[b8] << 24 | box[b13] << 16 | box[b2] << 8 | box[b7]) ^ k2,
+        (box[b12] << 24 | box[b1] << 16 | box[b6] << 8 | box[b11]) ^ k3,
     )
 
 
@@ -306,17 +318,22 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
 
     Decryption consumes the round flags in reverse stage order: the flag
     for round r selects the path of the fused stage that uses round key
-    r, and the first flag selects the path of the trailing
-    InvShiftRows/InvSubBytes/AddRoundKey stage.  A fused stage is
-    InvShiftRows + InvSubBytes + AddRoundKey + InvMixColumns; it adds
+    r, and the flag for round n_r selects the path of the trailing
+    InvShiftRows/InvSubBytes/AddRoundKey stage.  So plan.runs runs last
+    to first, and a fused run takes its key words last to first.  A
+    fused stage is InvShiftRows + InvSubBytes + AddRoundKey +
+    InvMixColumns as 16 lookups by the bytes of one struct pack; it adds
     ks.dec_words[r], the InvMixColumns image of round key r, after the
     lookups, since InvMixColumns is linear.
     """
-    _check_call(block, ks, plan)
-    n_r = ks.n_r
+    if len(block) != BLOCK_SIZE:
+        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
     flags = plan.round_flags
-    rk = ks.round_keys
+    n_r = ks.n_r
+    if len(flags) != n_r:
+        raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     w = ks.dec_words
+    pack = _BLOCK_WORDS.pack
     d0, d1, d2, d3 = T_TABLES.dec
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
     k0, k1, k2, k3 = w[n_r]
@@ -324,43 +341,39 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     s1 ^= k1
     s2 ^= k2
     s3 ^= k3
-    r = n_r - 1
-    while r > 0:
-        if flags[r - 1]:
-            k0, k1, k2, k3 = w[r]
-            s0, s1, s2, s3 = (
-                d0[s0 >> 24] ^ d1[s3 >> 16 & 0xFF] ^ d2[s2 >> 8 & 0xFF] ^ d3[s1 & 0xFF] ^ k0,
-                d0[s1 >> 24] ^ d1[s0 >> 16 & 0xFF] ^ d2[s3 >> 8 & 0xFF] ^ d3[s2 & 0xFF] ^ k1,
-                d0[s2 >> 24] ^ d1[s1 >> 16 & 0xFF] ^ d2[s0 >> 8 & 0xFF] ^ d3[s3 & 0xFF] ^ k2,
-                d0[s3 >> 24] ^ d1[s2 >> 16 & 0xFF] ^ d2[s1 >> 8 & 0xFF] ^ d3[s0 & 0xFF] ^ k3,
-            )
-            r -= 1
+    for fused, first, stop in reversed(plan.runs):
+        if fused:
+            for k0, k1, k2, k3 in reversed(w[first:stop]):
+                (b0, b1, b2, b3, b4, b5, b6, b7,
+                 b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
+                s0 = d0[b0] ^ d1[b13] ^ d2[b10] ^ d3[b7] ^ k0
+                s1 = d0[b4] ^ d1[b1] ^ d2[b14] ^ d3[b11] ^ k1
+                s2 = d0[b8] ^ d1[b5] ^ d2[b2] ^ d3[b15] ^ k2
+                s3 = d0[b12] ^ d1[b9] ^ d2[b6] ^ d3[b3] ^ k3
         else:
+            rk = ks.round_keys
             s = _matrix(s0, s1, s2, s3)
-            while r > 0 and not flags[r - 1]:
+            for r in range(stop - 1, first - 1, -1):
                 s = inv_shift_rows(s)
                 s = inv_sub_bytes(s)
                 s = add_round_key(s, rk[r])
                 s = inv_mix_columns(s)
-                r -= 1
             s0, s1, s2, s3 = _columns(s)
-    if not flags[n_r - 1]:
+    if not flags[-1]:
         s = _matrix(s0, s1, s2, s3)
         s = inv_shift_rows(s)
         s = inv_sub_bytes(s)
-        s = add_round_key(s, rk[0])
+        s = add_round_key(s, ks.round_keys[0])
         return store_state(s)
     box = INV_S_BOX
     k0, k1, k2, k3 = w[0]
-    return _BLOCK_WORDS.pack(
-        (box[s0 >> 24] << 24 | box[s3 >> 16 & 0xFF] << 16
-         | box[s2 >> 8 & 0xFF] << 8 | box[s1 & 0xFF]) ^ k0,
-        (box[s1 >> 24] << 24 | box[s0 >> 16 & 0xFF] << 16
-         | box[s3 >> 8 & 0xFF] << 8 | box[s2 & 0xFF]) ^ k1,
-        (box[s2 >> 24] << 24 | box[s1 >> 16 & 0xFF] << 16
-         | box[s0 >> 8 & 0xFF] << 8 | box[s3 & 0xFF]) ^ k2,
-        (box[s3 >> 24] << 24 | box[s2 >> 16 & 0xFF] << 16
-         | box[s1 >> 8 & 0xFF] << 8 | box[s0 & 0xFF]) ^ k3,
+    (b0, b1, b2, b3, b4, b5, b6, b7,
+     b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
+    return pack(
+        (box[b0] << 24 | box[b13] << 16 | box[b10] << 8 | box[b7]) ^ k0,
+        (box[b4] << 24 | box[b1] << 16 | box[b14] << 8 | box[b11]) ^ k1,
+        (box[b8] << 24 | box[b5] << 16 | box[b2] << 8 | box[b15]) ^ k2,
+        (box[b12] << 24 | box[b9] << 16 | box[b6] << 8 | box[b3]) ^ k3,
     )
 
 

@@ -52,6 +52,8 @@ def test_config_validation():
         BenchConfig(modes=("ctr",))
     with pytest.raises(ValueError, match="unknown op 'frobnicate'"):
         BenchConfig(ops=("encrypt", "frobnicate"))
+    with pytest.raises(ValueError, match="round count must be >= 1, got 0"):
+        BenchConfig(rounds=0)
 
 
 def test_matrix_cell_count_and_labels(small_results):

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -230,6 +231,7 @@ def test_bench_cli_small_run(tmp_path, capsys):
     ("--ops", "frobnicate"),
     ("--key-sizes", "512"),
     ("--variants", "turbo"),
+    ("--rounds", "0"),
 ])
 def test_bench_cli_rejects_unknown_names(capsys, flag, value):
     assert run("bench", "--sizes", "512", flag, value) == EXIT_USAGE
@@ -237,6 +239,36 @@ def test_bench_cli_rejects_unknown_names(capsys, flag, value):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert value in captured.err
+
+
+def test_bench_cli_matrix_defaults(tmp_path):
+    out_csv = tmp_path / "bench.csv"
+    assert run("bench", "--sizes", "512", "--reps", "3", "--warmup", "0",
+               "--out", str(out_csv)) == EXIT_OK
+    rows = list(csv.DictReader(out_csv.open()))
+    cells = {(r["key_bits"], r["n_r"], r["variant"], r["mode"], r["op"]) for r in rows}
+    assert len(rows) == len(cells) == 3 * 4 * 2
+    assert {c[:2] for c in cells} == {("128", "10"), ("192", "12"), ("256", "14")}
+    assert {c[2] for c in cells} == {"base", "opt1", "opt2", "optf"}
+    assert {c[3:] for c in cells} == {("ecb", "encrypt"), ("cbc", "encrypt")}
+
+
+@pytest.mark.parametrize("other_run", [("--sweep-rounds", "1,2"), ("--micro",)],
+                         ids=["sweep", "micro"])
+@pytest.mark.parametrize("flag,value", [
+    ("--key-sizes", "256"),
+    ("--variants", "optf"),
+    ("--modes", "cbc"),
+    ("--ops", "decrypt"),
+    ("--rounds", "4"),
+])
+def test_bench_cli_matrix_options_refused_outside_matrix(capsys, other_run, flag, value):
+    assert run("bench", "--sizes", "512", "--reps", "3", "--warmup", "0",
+               "--micro-iters", "300", *other_run, flag, value) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert other_run[0] in captured.err and flag in captured.err
 
 
 def test_bench_cli_sweep(tmp_path):

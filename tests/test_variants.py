@@ -224,6 +224,39 @@ def oracle_blob(message, key, n_r, iv):
     return b"".join(out)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    flags=st.lists(st.booleans(), min_size=1, max_size=14),
+    key_bytes=st.sampled_from((16, 24, 32)),
+    key=st.binary(min_size=32, max_size=32),
+    block=st.binary(min_size=16, max_size=16),
+)
+def test_any_plan_matches_baseline_property(flags, key_bytes, key, block):
+    # Arbitrary flag tuples give every run layout: one run or many, and
+    # runs of length 1 at either end, with either final-round path.
+    ks = key_expansion(key[:key_bytes], len(flags))
+    plan = VariantPlan("any", tuple(flags))
+    ct = encrypt_block_variant(block, ks, plan)
+    assert ct == encrypt_block(block, ks)
+    assert decrypt_block_variant(ct, ks, plan) == block
+    assert decrypt_block_variant(block, ks, plan) == decrypt_block(block, ks)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=14))
+def test_plan_runs_cover_middle_rounds(flags):
+    plan = VariantPlan("any", tuple(flags))
+    n_r = len(flags)
+    rounds = []
+    for i, (fused, first, stop) in enumerate(plan.runs):
+        assert first < stop
+        assert all(flags[r - 1] == fused for r in range(first, stop))
+        if i:
+            assert plan.runs[i - 1][0] != fused
+        rounds += range(first, stop)
+    assert rounds == list(range(1, n_r))
+
+
 def test_plan_length_mismatch_rejected():
     ks = key_expansion(bytes(16), 10)
     plan = make_plan("optf", 9)
