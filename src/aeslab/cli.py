@@ -83,14 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timing experiments")
     p.add_argument("--sizes", default=None,
                    help="comma-separated payload sizes in bytes "
-                        "(default: the three bitmap workload sizes)")
+                        "(default: the three bitmap workload sizes; 32768 for --sweep-rounds)")
     p.add_argument("--key-sizes",
                    help=f"matrix key sizes in bits (default: {','.join(map(str, KEY_BITS))})")
     p.add_argument("--variants", help=f"matrix variants (default: {','.join(VARIANT_IDS)})")
     p.add_argument("--modes", help=f"matrix modes (default: {','.join(MODES)})")
     p.add_argument("--ops", help="matrix ops (default: encrypt)")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=1)
+    p.add_argument("--warmup", type=int, default=None,
+                   help="untimed passes per cell before timing, the output check "
+                        "being the first (default: 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=None,
                    help="matrix round count (default: standard for each key size)")
@@ -98,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a round-count sweep instead of the matrix, e.g. 2,4,6,8,10")
     p.add_argument("--micro", action="store_true",
                    help="run per-transform microbenchmarks instead of the matrix")
-    p.add_argument("--micro-iters", type=int, default=1_000_000)
+    p.add_argument("--micro-iters", type=int, default=None,
+                   help="transform applications per --micro cell (default: 1000000)")
     p.add_argument("--report", default="csv", choices=("csv", "text"))
     p.add_argument("--out", dest="out_path", help="write report here (default stdout)")
 
@@ -261,51 +264,63 @@ def _cmd_analyze(args) -> int:
 
 def _split_ints(text: str, what: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        values = tuple(int(part) for part in text.split(",") if part)
     except ValueError as e:
         raise UsageError(f"bad {what}: {e}") from e
+    if not values or min(values) < 1:
+        raise UsageError(f"bad {what}: expected positive integers, got {text!r}")
+    return values
 
 
-# Options of the matrix run; --sweep-rounds and --micro take none of them.
-_MATRIX_OPTIONS = ("key_sizes", "variants", "modes", "ops", "rounds")
+# The options each kind of bench run takes besides --reps, --seed,
+# --report and --out, as argparse dest -> keyword of the function that
+# runs it.  A run given an option of another kind refuses it.
+_RUN_OPTIONS = {
+    "--micro": {"micro_iters": "iterations"},
+    "--sweep-rounds": {"sizes": "sizes", "warmup": "warmup", "sweep_rounds": "rounds"},
+    "the matrix run": {name: name for name in (
+        "sizes", "warmup", "key_sizes", "variants", "modes", "ops", "rounds")},
+}
+_BENCH_OPTIONS = dict.fromkeys(name for takes in _RUN_OPTIONS.values() for name in takes)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _cmd_bench(args) -> int:
-    given = {name: getattr(args, name) for name in _MATRIX_OPTIONS
-             if getattr(args, name) is not None}
-    if given and (args.micro or args.sweep_rounds):
-        run = "--micro" if args.micro else "--sweep-rounds"
-        flags = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise UsageError(f"{run} takes no matrix options: {flags}")
     if args.micro:
-        results = bench.microbench_all(args.micro_iters, max(args.reps, 3), args.seed)
+        run = "--micro"
+    elif args.sweep_rounds is not None:
+        run = "--sweep-rounds"
+    else:
+        run = "the matrix run"
+    takes = _RUN_OPTIONS[run]
+    given = {name: getattr(args, name) for name in _BENCH_OPTIONS
+             if getattr(args, name) is not None}
+    refused = [_flag(name) for name in given if name not in takes]
+    if refused:
+        raise UsageError(f"{run} takes no {', '.join(refused)}")
+    if run == "--micro" and args.reps < 3:
+        raise UsageError(f"--micro needs --reps >= 3, got {args.reps}")
+    # Options left out keep the defaults of the function that runs them.
+    kwargs = {}
+    for name, value in given.items():
+        if name in ("sizes", "key_sizes", "sweep_rounds"):
+            value = _split_ints(value, _flag(name))
+        elif name in ("variants", "modes", "ops"):
+            value = tuple(value.split(","))
+        kwargs[takes[name]] = value
+    common = {"repetitions": args.reps, "seed": args.seed}
+    if run == "--micro":
+        results = bench.microbench_all(**common, **kwargs)
         summary = bench.microbench_gain_lines(results)
-    elif args.sweep_rounds:
-        sizes = _split_ints(args.sizes, "--sizes") if args.sizes else (32 * 1024,)
-        results = bench.round_sweep(
-            sizes=sizes,
-            rounds=_split_ints(args.sweep_rounds, "--sweep-rounds"),
-            repetitions=args.reps,
-            warmup=args.warmup,
-            seed=args.seed,
-        )
+    elif run == "--sweep-rounds":
+        results = bench.round_sweep(**common, **kwargs)
         summary = bench.sweep_growth_lines(results)
     else:
-        sizes = _split_ints(args.sizes, "--sizes") if args.sizes else bench.DEFAULT_SIZES
-        # Options left out keep BenchConfig's defaults.
-        if "key_sizes" in given:
-            given["key_sizes"] = _split_ints(given["key_sizes"], "--key-sizes")
-        for name in ("variants", "modes", "ops"):
-            if name in given:
-                given[name] = tuple(given[name].split(","))
         try:
-            cfg = bench.BenchConfig(
-                sizes=sizes,
-                repetitions=args.reps,
-                warmup=args.warmup,
-                seed=args.seed,
-                **given,
-            )
+            cfg = bench.BenchConfig(**common, **kwargs)
         except ValueError as e:
             raise UsageError(str(e)) from e
         results = bench.run_matrix(cfg)

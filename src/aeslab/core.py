@@ -11,15 +11,14 @@ round-key matrices are sliced from their bytes, and the equivalent
 inverse cipher's key words (FIPS-197 5.3.5) come from one InvMixColumns
 pass over all middle round keys held as a single int, with no table.
 It builds the whole KeySchedule before it returns.  The schedule is
-a frozen dataclass and nothing in the package writes to it afterwards,
-so threads sharing one schedule only ever read it: encrypt/decrypt are
-safe for concurrent use.
+read-only (assigning a field raises) and nothing in the package mutates
+its contents afterwards, so threads sharing one schedule only ever read
+it: encrypt/decrypt are safe for concurrent use.
 """
 
 import struct
-from dataclasses import dataclass
 
-from .gf256 import SBOX_PAIR, gf_mul, xtime
+from .gf256 import SBOX_PAIR, ReadOnly, gf_mul, xtime
 
 S_BOX = SBOX_PAIR.forward
 INV_S_BOX = SBOX_PAIR.inverse
@@ -42,9 +41,10 @@ KEY_BITS = tuple(8 * n for n in ROUNDS_BY_KEY_BYTES)
 State = list  # 4 rows of 4 ints
 
 
-@dataclass(frozen=True)
-class KeySchedule:
-    """Expanded round keys, complete when key_expansion returns.
+class KeySchedule(ReadOnly):
+    """Expanded round keys, complete when key_expansion returns, and
+    read-only: assigning a field raises dataclasses.FrozenInstanceError
+    (an AttributeError).
 
     round_keys holds (n_r + 1) 4x4 matrices for the baseline rounds.
     enc_words[r] is round key r as four big-endian column words, and
@@ -54,11 +54,22 @@ class KeySchedule:
     after InvMixColumns.  Both are tuples of 4-tuples of ints.
     """
 
-    round_keys: list
-    key_size_bits: int
-    n_r: int
-    enc_words: tuple
-    dec_words: tuple
+    __slots__ = ("round_keys", "key_size_bits", "n_r", "enc_words", "dec_words")
+
+    def __init__(self, round_keys: list, key_size_bits: int, n_r: int,
+                 enc_words: tuple, dec_words: tuple):
+        set_field = object.__setattr__
+        set_field(self, "round_keys", round_keys)
+        set_field(self, "key_size_bits", key_size_bits)
+        set_field(self, "n_r", n_r)
+        set_field(self, "enc_words", enc_words)
+        set_field(self, "dec_words", dec_words)
+
+    def __setattr__(self, name, value):
+        # Imported only here: dataclasses pulls in inspect, ast and dis,
+        # which take longer to import than the whole package.
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def load_state(block: bytes) -> State:

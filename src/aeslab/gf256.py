@@ -2,12 +2,18 @@
 
 All arithmetic is over the field defined by the reduction polynomial
 x^8 + x^4 + x^3 + x + 1 (0x11B).  Field elements are plain ints in
-0..255.  The S-boxes and the fixed-multiplicand table are generated
-from first principles at import time rather than hard-coded, so the
-test suite can cross-check generation against independent oracles.
-"""
+0..255.  The S-boxes and the fixed-multiplicand table are generated at
+import time rather than hard-coded.
 
-from dataclasses import dataclass
+Generation runs on exponent and logarithm tables over the generator
+{03}, filled in 255 xtime steps (x * {03} = x ^ xtime(x)).  The inverse
+of a nonzero a is exp[255 - log a], which the S-box passes through the
+affine map; product row c holds exp[log c + log x].  Both are read out
+of the log table with bytes.translate, so no per-entry multiplication
+runs.  xtime, gf_mul, gf_inverse and _affine compute the same values
+from first principles, one element at a time, and remain the reference
+the tests check the tables against.
+"""
 
 REDUCTION_POLY = 0x11B
 
@@ -72,27 +78,46 @@ def _affine(x: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class SBoxPair:
+class ReadOnly:
+    """Base of the package's table and key-schedule records.  __init__
+    fills the slots with object.__setattr__; any later assignment or
+    deletion raises AttributeError, so shared instances are only ever
+    read."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+class SBoxPair(ReadOnly):
     """Forward and inverse substitution boxes, each 256 bytes."""
 
-    forward: bytes
-    inverse: bytes
+    __slots__ = ("forward", "inverse")
+
+    def __init__(self, forward: bytes, inverse: bytes):
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def footprint_bytes(self) -> int:
         return len(self.forward) + len(self.inverse)
 
 
-@dataclass(frozen=True)
-class MulTable:
+class MulTable(ReadOnly):
     """Products of every byte with each fixed MixColumns coefficient.
 
     Six rows of 256 bytes each (1536 bytes total), ordered per
     MUL_TABLE_COEFFICIENTS.  rows[c][x] == gf_mul(c, x).
     """
 
-    rows: tuple
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        object.__setattr__(self, "rows", rows)
 
     def __getitem__(self, coefficient: int) -> bytes:
         i = MUL_TABLE_COEFFICIENTS.index(coefficient)
@@ -103,25 +128,47 @@ class MulTable:
         return sum(len(row) for row in self.rows)
 
 
+def _exp_log() -> tuple:
+    """(exp, log) as bytes: exp[i] = {03}^i for i in 0..509, twice round
+    the cycle of 255 so that a sum of two logs needs no reduction, and
+    log[x] for x != 0.  log[0] is 255, a power no element has, so a
+    translate table indexed by log gives the image of 0 in entry 255."""
+    exp = bytearray(510)
+    log = bytearray(256)
+    log[0] = 255
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x ^= xtime(x)
+    return bytes(exp), bytes(log)
+
+
 def build_sbox() -> SBoxPair:
     """Build the S-box as affine(inverse(x)) and its permutation inverse."""
+    exp, log = _exp_log()
     forward = bytearray(256)
     inverse = bytearray(256)
-    for x in range(256):
-        forward[x] = _affine(gf_inverse(x))
-    for x in range(256):
-        inverse[forward[x]] = x
+    # exp[255 - log x] for each x; the appended 0 is the inverse of 0.
+    for x, b in enumerate(log.translate(exp[255:0:-1] + b"\0")):
+        # _affine's b_i ^ b_{i+4} ^ ... ^ b_{i+7} ^ c_i: the byte
+        # rotations are shifts of b doubled to 16 bits.
+        r = b | b << 8
+        s = (b ^ r >> 4 ^ r >> 5 ^ r >> 6 ^ r >> 7 ^ AFFINE_CONSTANT) & 0xFF
+        forward[x] = s
+        inverse[s] = x
     return SBoxPair(bytes(forward), bytes(inverse))
 
 
 def build_mul_table() -> MulTable:
-    """Tabulate gf_mul for the six fixed MixColumns/InvMixColumns coefficients."""
-    rows = tuple(
-        bytes(gf_mul(c, x) for x in range(256)) for c in MUL_TABLE_COEFFICIENTS
-    )
-    return MulTable(rows)
+    """Tabulate c * x for the six fixed MixColumns/InvMixColumns coefficients."""
+    exp, log = _exp_log()
+    # Row c maps x to exp[log c + log x]; the appended 0 is c * 0.
+    return MulTable(tuple(
+        log.translate(exp[log[c]:log[c] + 255] + b"\0") for c in MUL_TABLE_COEFFICIENTS
+    ))
 
 
-# Shared singletons; immutable after construction, safe for concurrent reads.
+# Shared singletons; read-only, safe for concurrent reads.
 SBOX_PAIR = build_sbox()
 MUL_TABLE = build_mul_table()

@@ -7,7 +7,6 @@ only its unpredictability matters.
 """
 
 import os
-import random
 
 from .core import BLOCK_SIZE, KeySchedule
 from .variants import VariantPlan, decrypt_block_variant, encrypt_block_variant
@@ -93,7 +92,7 @@ def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
     return b"".join(out)
 
 
-def random_iv(rng: random.Random | None = None) -> bytes:
+def random_iv(rng: "random.Random | None" = None) -> bytes:
     """Fresh 16-byte IV from os.urandom, or from a seeded generator for
     reproducible tests.  Entropy failure raises; never a fixed IV."""
     if rng is not None:
@@ -119,7 +118,7 @@ def encrypt_blob(
     mode: str,
     plan: VariantPlan,
     iv: bytes | None = None,
-    rng: random.Random | None = None,
+    rng: "random.Random | None" = None,
 ) -> bytes:
     """Pad and encrypt a message into the raw-file layout.  CBC draws a
     fresh IV unless one is passed."""

@@ -28,9 +28,8 @@ serve the transform microbenchmarks.
 """
 
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import groupby
-from typing import Callable, NamedTuple
 
 from .core import (
     BLOCK_SIZE,
@@ -47,10 +46,10 @@ from .core import (
     store_state,
     sub_bytes,
 )
-from .gf256 import MUL_TABLE, SBOX_PAIR, gf_mul
+from .gf256 import MUL_TABLE, SBOX_PAIR, ReadOnly
 
-@dataclass(frozen=True)
-class TTables:
+
+class TTables(ReadOnly):
     """Fused round tables: 4 encrypt + 4 decrypt tables of 256 4-byte entries.
 
     Entries are stored as packed big-endian words; byte 0 of an entry is
@@ -58,8 +57,11 @@ class TTables:
     matrix applied to the (inverse) S-box output.
     """
 
-    enc: tuple
-    dec: tuple
+    __slots__ = ("enc", "dec")
+
+    def __init__(self, enc: tuple, dec: tuple):
+        object.__setattr__(self, "enc", enc)
+        object.__setattr__(self, "dec", dec)
 
     @property
     def enc_footprint_bytes(self) -> int:
@@ -74,8 +76,7 @@ class TTables:
         return self.enc_footprint_bytes + self.dec_footprint_bytes
 
 
-@dataclass(frozen=True)
-class VariantPlan:
+class VariantPlan(ReadOnly):
     """Per-round strategy: round_flags[r-1] is True when round r (1-based)
     takes the optimized path.
 
@@ -84,16 +85,16 @@ class VariantPlan:
     final round, which has no MixColumns, is not part of any run.
     """
 
-    variant_id: str
-    round_flags: tuple
-    runs: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("variant_id", "round_flags", "runs")
 
-    def __post_init__(self):
+    def __init__(self, variant_id: str, round_flags: tuple):
         runs, first = [], 1
-        for fused, group in groupby(self.round_flags[:-1]):
+        for fused, group in groupby(round_flags[:-1]):
             stop = first + len(tuple(group))
             runs.append((fused, first, stop))
             first = stop
+        object.__setattr__(self, "variant_id", variant_id)
+        object.__setattr__(self, "round_flags", round_flags)
         object.__setattr__(self, "runs", tuple(runs))
 
     @property
@@ -101,47 +102,42 @@ class VariantPlan:
         return len(self.round_flags)
 
 
+_TABLE_WORDS = struct.Struct(">256I")
+
+
+def _rotations(lanes: tuple) -> tuple:
+    """Four tables of 256 big-endian words from the byte lanes of table
+    0 (lanes[i][x] is byte i of entry x): table k is table 0 rotated
+    right by k bytes, so byte i of its entries is lane (i - k) mod 4."""
+    words = bytearray(4 * 256)
+    tables = []
+    for k in range(4):
+        for i in range(4):
+            words[i::4] = lanes[(i - k) % 4]
+        tables.append(list(_TABLE_WORDS.unpack(words)))
+    return tuple(tables)
+
+
 def build_t_tables() -> TTables:
-    """Derive both table sets from the S-boxes and gf_mul."""
+    """Derive both table sets from the S-boxes and the MUL_TABLE rows."""
     sbox = SBOX_PAIR.forward
     inv_sbox = SBOX_PAIR.inverse
-    enc0 = [0] * 256
-    dec0 = [0] * 256
-    for x in range(256):
-        s = sbox[x]
-        enc0[x] = (gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | gf_mul(s, 3)
-        t = inv_sbox[x]
-        dec0[x] = (
-            (gf_mul(t, 14) << 24)
-            | (gf_mul(t, 9) << 16)
-            | (gf_mul(t, 13) << 8)
-            | gf_mul(t, 11)
-        )
-
-    def rot8(table):
-        # next table = previous one rotated right by one byte
-        return [((w >> 8) | ((w & 0xFF) << 24)) for w in table]
-
-    enc1 = rot8(enc0)
-    enc2 = rot8(enc1)
-    dec1 = rot8(dec0)
-    dec2 = rot8(dec1)
-    return TTables(
-        enc=(enc0, enc1, enc2, rot8(enc2)),
-        dec=(dec0, dec1, dec2, rot8(dec2)),
-    )
+    # Table 0 applies column 0 of (Inv)MixColumns to the (inverse)
+    # S-box output: bytes {02}s, s, s, {03}s and {0E}t, {09}t, {0D}t, {0B}t.
+    enc = (sbox.translate(MUL_TABLE[0x02]), sbox, sbox, sbox.translate(MUL_TABLE[0x03]))
+    dec = tuple(inv_sbox.translate(MUL_TABLE[c]) for c in (0x0E, 0x09, 0x0D, 0x0B))
+    return TTables(enc=_rotations(enc), dec=_rotations(dec))
 
 
 T_TABLES = build_t_tables()
 
 
-class Variant(NamedTuple):
+class Variant(namedtuple("Variant", ("fused", "tables"))):
     """fused(i) is True when round i + 1 takes the T-table path; None
     marks a footprint-only configuration with no round plan.  tables
     names the lookup-table categories the variant keeps resident."""
 
-    fused: Callable[[int], bool] | None
-    tables: tuple
+    __slots__ = ()
 
 
 # Base: no optimized rounds.  Opt1: every other round, starting with

@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from aeslab import bench
 from aeslab.bench import (
     BenchConfig,
     BenchResult,
@@ -181,3 +182,23 @@ def test_results_record_dispersion(small_results):
         assert samples_spread >= 0
         # sanity: std of three samples can't exceed their full spread
         assert r.std_s <= samples_spread + 1e-12 or samples_spread == 0
+
+
+@pytest.mark.parametrize("warmup", [0, 1, 2])
+def test_matrix_output_check_is_first_warmup_pass(monkeypatch, warmup):
+    # The Base encrypt cell's checked run is also the reference, and every
+    # cell's checked run is its first untimed pass.
+    runs = []
+    encrypt = bench.encrypt_with_residual
+
+    def counting(data, ks, mode, plan, iv):
+        runs.append(plan.variant_id)
+        return encrypt(data, ks, mode, plan, iv)
+
+    monkeypatch.setattr(bench, "encrypt_with_residual", counting)
+    cfg = BenchConfig(sizes=(64,), key_sizes=(128,), variants=("base", "optf"),
+                      modes=("ecb",), ops=("encrypt",), repetitions=3,
+                      warmup=warmup, seed=5)
+    run_matrix(cfg)
+    untimed = max(warmup, 1)
+    assert runs.count("base") == runs.count("optf") == untimed + 3

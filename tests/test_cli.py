@@ -232,6 +232,7 @@ def test_bench_cli_small_run(tmp_path, capsys):
     ("--key-sizes", "512"),
     ("--variants", "turbo"),
     ("--rounds", "0"),
+    ("--sweep-rounds", "0,2"),
 ])
 def test_bench_cli_rejects_unknown_names(capsys, flag, value):
     assert run("bench", "--sizes", "512", flag, value) == EXIT_USAGE
@@ -269,6 +270,24 @@ def test_bench_cli_matrix_options_refused_outside_matrix(capsys, other_run, flag
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert other_run[0] in captured.err and flag in captured.err
+
+
+@pytest.mark.parametrize("run_args,flag,value", [
+    (("--micro",), "--sizes", "512"),
+    (("--micro",), "--warmup", "0"),
+    (("--micro",), "--sweep-rounds", "1,2"),
+    (("--micro",), "--reps", "2"),
+    ((), "--micro-iters", "300"),
+    (("--sweep-rounds", "1,2"), "--micro-iters", "300"),
+], ids=["micro-sizes", "micro-warmup", "micro-sweep", "micro-reps", "matrix-iters",
+        "sweep-iters"])
+def test_bench_cli_refuses_options_its_run_ignores(capsys, run_args, flag, value):
+    base = ("--micro-iters", "300") if "--micro" in run_args else ("--sizes", "512")
+    assert run("bench", *base, "--reps", "3", *run_args, flag, value) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
 
 
 def test_bench_cli_sweep(tmp_path):

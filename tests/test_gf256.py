@@ -4,6 +4,7 @@ import pytest
 
 from aeslab.gf256 import (
     MUL_TABLE_COEFFICIENTS,
+    _affine,
     build_mul_table,
     build_sbox,
     gf_inverse,
@@ -84,6 +85,16 @@ def test_sbox_matches_affine_oracle_everywhere():
     pair = build_sbox()
     for x in range(256):
         assert pair.forward[x] == affine_oracle(gf_inverse_exhaustive(x))
+
+
+def test_tables_match_first_principles_functions():
+    # The log-table generation against the element-wise reference path.
+    pair = build_sbox()
+    table = build_mul_table()
+    for x in range(256):
+        assert pair.forward[x] == _affine(gf_inverse(x))
+        for c in MUL_TABLE_COEFFICIENTS:
+            assert table[c][x] == gf_mul(c, x)
 
 
 def test_sbox_matches_standard_table():
