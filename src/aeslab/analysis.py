@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bmp import BmpImage
+from .core import BLOCK_SIZE
 
 # 99.9th percentile of the chi-square distribution with 255 degrees of
 # freedom (uniformity test over 256 byte values).
@@ -55,17 +56,18 @@ def shannon_entropy(data: bytes) -> float:
     return h + 0.0  # fold -0.0 from the single-symbol case
 
 
-def duplicate_block_ratio(data: bytes, block_size: int = 16) -> LeakageReport:
-    """Distinct / total over whole blocks; a partial tail block is ignored.
+def duplicate_block_ratio(data: bytes) -> LeakageReport:
+    """Distinct / total over whole 16-byte blocks; a partial tail block
+    is ignored.
 
     Low ratios in ciphertext indicate ECB-style structure leakage.
     """
-    if len(data) < block_size:
+    if len(data) < BLOCK_SIZE:
         raise ValueError(
-            f"need at least one {block_size}-byte block, got {len(data)} bytes"
+            f"need at least one {BLOCK_SIZE}-byte block, got {len(data)} bytes"
         )
-    total = len(data) // block_size
-    distinct = len({data[i * block_size:(i + 1) * block_size] for i in range(total)})
+    total = len(data) // BLOCK_SIZE
+    distinct = len({data[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE] for i in range(total)})
     return LeakageReport(
         total_blocks=total,
         distinct_blocks=distinct,

@@ -23,14 +23,7 @@ from functools import partial
 
 from . import core, variants
 from .core import KEY_BITS, key_expansion
-from .modes import (
-    MODES,
-    decrypt_with_residual,
-    ecb_decrypt,
-    ecb_encrypt,
-    encrypt_with_residual,
-    pkcs7_pad,
-)
+from .modes import MODES, decrypt_with_residual, encrypt_with_residual, pkcs7_pad
 from .variants import VARIANT_IDS, make_plan
 
 OPS = ("encrypt", "decrypt")
@@ -59,7 +52,7 @@ class BenchConfig:
     repetitions: int = 5
     warmup: int = 1
     seed: int = 0
-    rounds: int | None = None  # None = standard count for the key size
+    rounds: tuple | None = None  # None = standard count for each key size
 
     def __post_init__(self):
         if self.repetitions < 3:
@@ -68,8 +61,9 @@ class BenchConfig:
             raise ValueError("warmup must be >= 0")
         if any(s <= 0 for s in self.sizes):
             raise ValueError("payload sizes must be positive")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError(f"round count must be >= 1, got {self.rounds}")
+        for n_r in self.rounds or ():
+            if n_r < 1:
+                raise ValueError(f"round count must be >= 1, got {n_r}")
         for what, values, allowed in (
             ("key size", self.key_sizes, KEY_BITS),
             ("variant", self.variants, VARIANT_IDS),
@@ -121,8 +115,8 @@ def _expand(key: bytes, n_r: int | None, repetitions: int):
 def _verify_then_measure(cells: list, repetitions: int, warmup: int) -> list:
     """(key, samples) for each (key, fn, expected) cell.  Every fn's
     output is checked before any timing starts, and that call counts as
-    the first of its `warmup` untimed passes.  expected is None for the
-    cell whose output is the reference: the call that produced the
+    the first of its `warmup` untimed passes.  expected is None for a
+    cell whose output is a reference: the call that produced the
     reference was that first pass.  The repetitions then run round-robin
     across the cells, so a transient load spike lands on one repetition
     of many cells instead of every repetition of one cell."""
@@ -164,15 +158,21 @@ def _result(label, size_bytes, key_bits, n_r, variant, mode, op,
 
 
 def run_matrix(cfg: BenchConfig) -> list:
-    """One result per (size x key size x variant x mode x op) cell.
+    """One result per (size x key size x round count x variant x mode x
+    op) cell.
 
     Payloads come from a generator seeded with cfg.seed, so re-running
-    with the same seed reproduces them byte-for-byte.  Within each
-    (size, key, mode) group the repetitions run interleaved across
-    variant/op cells.  Cells run the image-mode layout on the padded
-    payload: it is block-aligned, so the layout adds no tail and no copy.
+    with the same seed reproduces them byte-for-byte.  The key of each
+    key size is expanded once per round count.  Within each (size, key,
+    mode) group the repetitions run interleaved across round count,
+    variant and op cells, so a load spike cannot systematically inflate
+    any one of them.  Each round count's Base encrypt output is the
+    reference its other cells must match.  Cells run the image-mode
+    layout on the padded payload: it is block-aligned, so the layout
+    adds no tail and no copy.
     """
     rng = random.Random(cfg.seed)
+    round_counts = (None,) if cfg.rounds is None else cfg.rounds
     results = []
     for size in cfg.sizes:
         payload = rng.randbytes(size)
@@ -181,77 +181,55 @@ def run_matrix(cfg: BenchConfig) -> list:
         pad_s = time.perf_counter() - t0
         for key_bits in cfg.key_sizes:
             key = rng.randbytes(key_bits // 8)
-            ks, expand_s = _expand(key, cfg.rounds, cfg.repetitions)
-            n_r = ks.n_r
+            schedules = [_expand(key, n_r, cfg.repetitions) for n_r in round_counts]
+            expand_s = {ks.n_r: s for ks, s in schedules}
             iv = rng.randbytes(16)
             for mode in cfg.modes:
                 mode_iv = iv if mode == "cbc" else None
-                base_encrypt = partial(encrypt_with_residual, padded, ks, mode,
-                                       make_plan("base", n_r), mode_iv)
-                reference_ct = base_encrypt()
-                op_cells = {
-                    "encrypt": (encrypt_with_residual, padded, reference_ct),
-                    "decrypt": (decrypt_with_residual, reference_ct, padded),
-                }
                 cells = []
-                for variant in cfg.variants:
-                    plan = make_plan(variant, n_r)
-                    for op in cfg.ops:
-                        if (variant, op) == ("base", "encrypt"):
-                            cells.append(((variant, mode, op), base_encrypt, None))
-                            continue
-                        fn, data, expected = op_cells[op]
-                        fn = partial(fn, data, ks, mode, plan, mode_iv)
-                        cells.append(((variant, mode, op), fn, expected))
+                for ks, _s in schedules:
+                    n_r = ks.n_r
+                    base_encrypt = partial(encrypt_with_residual, padded, ks, mode,
+                                           make_plan("base", n_r), mode_iv)
+                    reference_ct = base_encrypt()
+                    op_cells = {
+                        "encrypt": (encrypt_with_residual, padded, reference_ct),
+                        "decrypt": (decrypt_with_residual, reference_ct, padded),
+                    }
+                    for variant in cfg.variants:
+                        plan = make_plan(variant, n_r)
+                        for op in cfg.ops:
+                            if (variant, op) == ("base", "encrypt"):
+                                cells.append(((n_r, variant, mode, op), base_encrypt, None))
+                                continue
+                            fn, data, expected = op_cells[op]
+                            fn = partial(fn, data, ks, mode, plan, mode_iv)
+                            cells.append(((n_r, variant, mode, op), fn, expected))
                 measured = _verify_then_measure(cells, cfg.repetitions, cfg.warmup)
-                for (variant, mode, op), samples in measured:
+                for (n_r, variant, mode, op), samples in measured:
                     label = f"{size}B/{key_bits}k/{n_r}r/{variant}/{mode}/{op}"
                     results.append(_result(
                         label, len(padded), key_bits, n_r, variant, mode,
-                        op, samples, cfg.warmup, expand_s, pad_s,
+                        op, samples, cfg.warmup, expand_s[n_r], pad_s,
                     ))
     return results
 
 
-def round_sweep(
-    sizes=(32 * 1024,),
-    rounds=(2, 4, 6, 8, 10),
-    key_bits: int = 128,
-    variant: str = "base",
-    repetitions: int = 5,
-    warmup: int = 1,
-    seed: int = 0,
-) -> list:
-    """Encrypt and decrypt timings while the round count steps up.
+# The round-count growth experiment: the matrix cells it times.
+SWEEP = {
+    "sizes": (32 * 1024,),
+    "key_sizes": (128,),
+    "variants": ("base",),
+    "modes": ("ecb",),
+    "ops": OPS,
+    "rounds": (2, 4, 6, 8, 10),
+}
 
-    All (round count x op) cells of one payload size are measured with
-    interleaved repetitions, so a load spike cannot systematically
-    inflate a single round count.  Each encrypt cell's first run gives
-    the ciphertext that its decrypt cell is checked to invert.
-    """
-    if any(r < 1 for r in rounds):
-        raise ValueError("round counts must be >= 1")
-    rng = random.Random(seed)
-    results = []
-    for size in sizes:
-        payload = pkcs7_pad(rng.randbytes(size))
-        key = rng.randbytes(key_bits // 8)
-        cells = []
-        expand = {}
-        for n_r in rounds:
-            ks, expand[n_r] = _expand(key, n_r, repetitions)
-            plan = make_plan(variant, n_r)
-            encrypt = partial(ecb_encrypt, payload, ks, plan)
-            ct = encrypt()
-            cells.append(((n_r, "encrypt"), encrypt, None))
-            cells.append(((n_r, "decrypt"), partial(ecb_decrypt, ct, ks, plan), payload))
-        for (n_r, op), samples in _verify_then_measure(cells, repetitions, warmup):
-            label = f"{size}B/{key_bits}k/{n_r}r/{variant}/ecb/{op}"
-            results.append(_result(
-                label, len(payload), key_bits, n_r, variant, "ecb", op,
-                samples, warmup, expand[n_r],
-            ))
-    return results
+
+def round_sweep(**options) -> list:
+    """Encrypt and decrypt timings while the round count steps up: the
+    matrix run on SWEEP, with `options` replacing any BenchConfig field."""
+    return run_matrix(BenchConfig(**{**SWEEP, **options}))
 
 
 TRANSFORM_PATHS = {
@@ -276,6 +254,10 @@ def microbench_transform(
     applications are split into `repetitions` timed chunks; size_bytes
     holds the chunk size, so throughput reads as applications/second.
     """
+    if iterations < repetitions:
+        raise ValueError(
+            f"iterations must be >= repetitions, got {iterations} < {repetitions}"
+        )
     try:
         base_fn, opt_fn = TRANSFORM_PATHS[name]
     except KeyError:
@@ -298,7 +280,7 @@ def microbench_transform(
     else:
         apply_fn = fn
 
-    chunk = max(1, iterations // repetitions)
+    chunk = iterations // repetitions
 
     def run_chunk():
         for i in range(chunk):
@@ -365,7 +347,7 @@ def variant_gain_lines(results: list) -> list:
             reported = REPORTED_VARIANT_GAIN_PCT.get(variant)
             tail = f" (reported: {reported:.0f}%)" if reported is not None else ""
             lines.append(
-                f"{mode}/{op} {size}B key{key_bits}: {variant} {gain:+.1f}% vs base{tail}"
+                f"{mode}/{op} {size}B key{key_bits} {n_r}r: {variant} {gain:+.1f}% vs base{tail}"
             )
     return lines
 

@@ -94,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="untimed passes per cell before timing, the output check "
                         "being the first (default: 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=None,
-                   help="matrix round count (default: standard for each key size)")
+    p.add_argument("--rounds", default=None,
+                   help="comma-separated matrix round counts "
+                        "(default: standard for each key size)")
     p.add_argument("--sweep-rounds", default=None,
                    help="run a round-count sweep instead of the matrix, e.g. 2,4,6,8,10")
     p.add_argument("--micro", action="store_true",
@@ -273,8 +274,9 @@ def _split_ints(text: str, what: str) -> tuple:
 
 
 # The options each kind of bench run takes besides --reps, --seed,
-# --report and --out, as argparse dest -> keyword of the function that
-# runs it.  A run given an option of another kind refuses it.
+# --report and --out, as argparse dest -> keyword of the BenchConfig or
+# microbench_all call that runs it.  A run given an option of another
+# kind refuses it.
 _RUN_OPTIONS = {
     "--micro": {"micro_iters": "iterations"},
     "--sweep-rounds": {"sizes": "sizes", "warmup": "warmup", "sweep_rounds": "rounds"},
@@ -303,28 +305,30 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"{run} takes no {', '.join(refused)}")
     if run == "--micro" and args.reps < 3:
         raise UsageError(f"--micro needs --reps >= 3, got {args.reps}")
-    # Options left out keep the defaults of the function that runs them.
+    # Options left out keep the defaults of the sweep preset or of the
+    # call that runs them.
     kwargs = {}
     for name, value in given.items():
-        if name in ("sizes", "key_sizes", "sweep_rounds"):
+        if name in ("sizes", "key_sizes", "sweep_rounds", "rounds"):
             value = _split_ints(value, _flag(name))
         elif name in ("variants", "modes", "ops"):
             value = tuple(value.split(","))
         kwargs[takes[name]] = value
     common = {"repetitions": args.reps, "seed": args.seed}
     if run == "--micro":
-        results = bench.microbench_all(**common, **kwargs)
-        summary = bench.microbench_gain_lines(results)
-    elif run == "--sweep-rounds":
-        results = bench.round_sweep(**common, **kwargs)
-        summary = bench.sweep_growth_lines(results)
-    else:
         try:
-            cfg = bench.BenchConfig(**common, **kwargs)
+            results = bench.microbench_all(**common, **kwargs)
+        except ValueError as e:
+            raise UsageError(str(e)) from e
+        summary = bench.microbench_gain_lines(results)
+    else:
+        preset = bench.SWEEP if run == "--sweep-rounds" else {}
+        try:
+            cfg = bench.BenchConfig(**{**preset, **common, **kwargs})
         except ValueError as e:
             raise UsageError(str(e)) from e
         results = bench.run_matrix(cfg)
-        summary = bench.variant_gain_lines(results)
+        summary = (bench.sweep_growth_lines if preset else bench.variant_gain_lines)(results)
 
     report = bench.emit_report(results, args.report)
     _write_text(args.out_path, report)

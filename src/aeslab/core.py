@@ -54,13 +54,11 @@ class KeySchedule(ReadOnly):
     after InvMixColumns.  Both are tuples of 4-tuples of ints.
     """
 
-    __slots__ = ("round_keys", "key_size_bits", "n_r", "enc_words", "dec_words")
+    __slots__ = ("round_keys", "n_r", "enc_words", "dec_words")
 
-    def __init__(self, round_keys: list, key_size_bits: int, n_r: int,
-                 enc_words: tuple, dec_words: tuple):
+    def __init__(self, round_keys: list, n_r: int, enc_words: tuple, dec_words: tuple):
         set_field = object.__setattr__
         set_field(self, "round_keys", round_keys)
-        set_field(self, "key_size_bits", key_size_bits)
         set_field(self, "n_r", n_r)
         set_field(self, "enc_words", enc_words)
         set_field(self, "dec_words", dec_words)
@@ -157,7 +155,7 @@ def key_expansion(key: bytes, n_r: int | None = None) -> KeySchedule:
         *[inv[o:o + 4] for o in range(0, n, 4)],
         enc_words[n_r],
     )
-    return KeySchedule(round_keys, len(key) * 8, n_r, enc_words, dec_words)
+    return KeySchedule(round_keys, n_r, enc_words, dec_words)
 
 
 def add_round_key(state: State, round_key: list) -> State:

@@ -202,10 +202,10 @@ def unrolled_shift_rows(state: State) -> State:
     ]
 
 
-def table_mix_columns(state: State, table=MUL_TABLE) -> State:
+def table_mix_columns(state: State) -> State:
     """MixColumns with all field products taken from the 6x256 table."""
-    m2 = table[0x02]
-    m3 = table[0x03]
+    m2 = MUL_TABLE[0x02]
+    m3 = MUL_TABLE[0x03]
     out = [[0] * 4 for _ in range(4)]
     for j in range(4):
         a0 = state[0][j]

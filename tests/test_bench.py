@@ -54,7 +54,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="unknown op 'frobnicate'"):
         BenchConfig(ops=("encrypt", "frobnicate"))
     with pytest.raises(ValueError, match="round count must be >= 1, got 0"):
-        BenchConfig(rounds=0)
+        BenchConfig(rounds=(0,))
 
 
 def test_matrix_cell_count_and_labels(small_results):
@@ -101,6 +101,23 @@ def test_round_sweep_mechanics():
         round_sweep(rounds=(0,))
 
 
+def test_round_sweep_interleaves_round_counts(monkeypatch):
+    # Interleaving every round count's cells is what keeps one load spike
+    # from inflating a single count and breaking the growth ordering.
+    calls = []
+    measure = bench._verify_then_measure
+
+    def recording(cells, repetitions, warmup):
+        calls.append({(key[0], key[-1]) for key, _fn, _expected in cells})
+        return measure(cells, repetitions, warmup)
+
+    monkeypatch.setattr(bench, "_verify_then_measure", recording)
+    results = round_sweep(sizes=(64, 128), rounds=(1, 2), repetitions=3, warmup=0, seed=7)
+    cells = {(n_r, op) for n_r in (1, 2) for op in ("encrypt", "decrypt")}
+    assert calls == [cells, cells]  # one call per size
+    assert len(results) == 8
+
+
 def test_microbench_mechanics():
     r = microbench_transform("sub_bytes", "base", iterations=600, repetitions=3)
     assert isinstance(r, BenchResult)
@@ -111,6 +128,8 @@ def test_microbench_mechanics():
         microbench_transform("mystery", "base")
     with pytest.raises(ValueError):
         microbench_transform("sub_bytes", "quick")
+    with pytest.raises(ValueError, match="iterations must be >= repetitions, got 2 < 3"):
+        microbench_transform("sub_bytes", "base", iterations=2, repetitions=3)
 
 
 def test_optimized_paths_run_faster():
@@ -155,6 +174,7 @@ def test_variant_gain_lines_report_measured_vs_reported():
     lines = variant_gain_lines(results)
     assert len(lines) == 1
     assert "optf +50.0% vs base" in lines[0]
+    assert "key128 10r:" in lines[0]  # tells the round counts of a --rounds list apart
     assert "reported: 20%" in lines[0]
 
 

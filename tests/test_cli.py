@@ -290,6 +290,19 @@ def test_bench_cli_refuses_options_its_run_ignores(capsys, run_args, flag, value
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "0"),
+    ("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "2"),
+    ("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "3", "--warmup", "-3"),
+    ("--micro", "--micro-iters", "2", "--reps", "3"),
+], ids=["sweep-reps-0", "sweep-reps-2", "sweep-warmup", "micro-iters-below-reps"])
+def test_bench_cli_refuses_bad_counts(capsys, argv):
+    assert run("bench", *argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_bench_cli_sweep(tmp_path):
     out_csv = tmp_path / "sweep.csv"
     assert run("bench", "--sizes", "512", "--sweep-rounds", "1,2",
