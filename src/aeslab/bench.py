@@ -104,11 +104,17 @@ def _time_call(fn) -> float:
 
 def _expand(key: bytes, n_r: int | None, repetitions: int):
     """The key schedule, and the median time of `repetitions` further
-    expansions of the same key (the first call warms up)."""
-    ks = key_expansion(key, n_r)
-    expand_s = statistics.median(
-        [_time_call(lambda: key_expansion(key, n_r)) for _ in range(repetitions)]
-    )
+    expansions of the same key (the first call warms up).  Each
+    expansion also reads the fields the schedule derives on first use,
+    so the time covers the whole schedule and no cell's first pass
+    derives them."""
+    def expand():
+        ks = key_expansion(key, n_r)
+        ks.dec_words, ks.round_keys
+        return ks
+
+    ks = expand()
+    expand_s = statistics.median([_time_call(expand) for _ in range(repetitions)])
     return ks, expand_s
 
 

@@ -303,8 +303,14 @@ def _cmd_bench(args) -> int:
     refused = [_flag(name) for name in given if name not in takes]
     if refused:
         raise UsageError(f"{run} takes no {', '.join(refused)}")
-    if run == "--micro" and args.reps < 3:
-        raise UsageError(f"--micro needs --reps >= 3, got {args.reps}")
+    # BenchConfig and microbench_transform check these too, but name
+    # their parameters, not the flags.
+    if args.reps < 3:
+        raise UsageError(f"--reps must be >= 3, got {args.reps}")
+    if args.warmup is not None and args.warmup < 0:
+        raise UsageError(f"--warmup must be >= 0, got {args.warmup}")
+    if args.micro_iters is not None and args.micro_iters < args.reps:
+        raise UsageError(f"--micro-iters must be >= --reps, got {args.micro_iters} < {args.reps}")
     # Options left out keep the defaults of the sweep preset or of the
     # call that runs them.
     kwargs = {}

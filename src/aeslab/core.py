@@ -5,15 +5,20 @@ The state is a 4x4 byte matrix indexed [row][column].  A 16-byte block
 loads column-major: byte i lands at row i % 4, column i // 4.  All
 transformations are pure functions returning a fresh state.
 
-key_expansion runs on packed 32-bit words: the word loop of FIPS-197
-5.2 (RotWord, SubWord, Rcon) gives the encrypt key words, the
-round-key matrices are sliced from their bytes, and the equivalent
-inverse cipher's key words (FIPS-197 5.3.5) come from one InvMixColumns
-pass over all middle round keys held as a single int, with no table.
-It builds the whole KeySchedule before it returns.  The schedule is
-read-only (assigning a field raises) and nothing in the package mutates
-its contents afterwards, so threads sharing one schedule only ever read
-it: encrypt/decrypt are safe for concurrent use.
+key_expansion runs the word loop of FIPS-197 5.2 (RotWord, SubWord,
+Rcon) on packed 32-bit words and returns a KeySchedule holding only the
+encrypt key words.  The two other key forms are derived from those words
+on first read: the round-key matrices that the baseline rounds add, and
+the equivalent inverse cipher's key words (FIPS-197 5.3.5), which come
+from one table-free InvMixColumns pass over all middle round keys held
+as a single int.  An all-fused (OptF) encrypt reads neither, and only
+the variants' decrypt kernels read the second.
+
+The schedule is read-only: assigning a field raises, and nothing in the
+package mutates a field's contents.  Threads may share one schedule.
+Two threads reading a derived field for the first time may both derive
+it; both get equal values, and its slot is only ever written with a
+finished list or tuple, so encrypt/decrypt are safe for concurrent use.
 """
 
 import struct
@@ -42,32 +47,93 @@ State = list  # 4 rows of 4 ints
 
 
 class KeySchedule(ReadOnly):
-    """Expanded round keys, complete when key_expansion returns, and
-    read-only: assigning a field raises dataclasses.FrozenInstanceError
-    (an AttributeError).
+    """Expanded round keys, read-only: assigning a field raises
+    dataclasses.FrozenInstanceError (an AttributeError).
 
-    round_keys holds (n_r + 1) 4x4 matrices for the baseline rounds.
-    enc_words[r] is round key r as four big-endian column words, and
-    dec_words[r] is the equivalent inverse cipher's key (FIPS-197
-    5.3.5): round keys 0 and n_r as they are, round keys 1..n_r-1
-    through InvMixColumns, so a fused decrypt round can add its key
-    after InvMixColumns.  Both are tuples of 4-tuples of ints.
+    enc_words[r] is round key r as four big-endian column words, a tuple
+    of 4-tuples of ints, complete when key_expansion returns.
+    round_keys and dec_words are derived from enc_words on first read
+    and kept in a slot, so later reads return the same object:
+    round_keys holds (n_r + 1) 4x4 matrices (lists) for the baseline
+    rounds, and dec_words[r] is the equivalent inverse cipher's key
+    (FIPS-197 5.3.5), round keys 0 and n_r as they are and round keys
+    1..n_r-1 through InvMixColumns, so a fused decrypt round can add its
+    key after InvMixColumns.  Two threads reading a derived field first
+    may both derive it; they get equal values, and the slot is written
+    only with the finished value.
     """
 
-    __slots__ = ("round_keys", "n_r", "enc_words", "dec_words")
+    __slots__ = ("n_r", "enc_words", "_round_keys", "_dec_words")
 
-    def __init__(self, round_keys: list, n_r: int, enc_words: tuple, dec_words: tuple):
+    def __init__(self, n_r: int, enc_words: tuple):
         set_field = object.__setattr__
-        set_field(self, "round_keys", round_keys)
         set_field(self, "n_r", n_r)
         set_field(self, "enc_words", enc_words)
-        set_field(self, "dec_words", dec_words)
 
     def __setattr__(self, name, value):
         # Imported only here: dataclasses pulls in inspect, ast and dis,
         # which take longer to import than the whole package.
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _key_bytes(self, first: int, stop: int) -> bytes:
+        """Round keys first..stop-1 as packed big-endian column words."""
+        words = [w for rk in self.enc_words[first:stop] for w in rk]
+        return struct.pack(f">{len(words)}I", *words)
+
+    @property
+    def round_keys(self) -> list:
+        try:
+            return self._round_keys
+        except AttributeError:
+            pass
+        # Row i of round key r holds byte i of its four column words.
+        kl = list(self._key_bytes(0, self.n_r + 1))
+        round_keys = [[kl[o:o + 16:4], kl[o + 1:o + 16:4], kl[o + 2:o + 16:4],
+                       kl[o + 3:o + 16:4]] for o in range(0, len(kl), 16)]
+        object.__setattr__(self, "_round_keys", round_keys)
+        return round_keys
+
+    @property
+    def dec_words(self) -> tuple:
+        try:
+            return self._dec_words
+        except AttributeError:
+            pass
+        # FIPS-197 5.3.5: InvMixColumns of round keys 1..n_r-1, every
+        # column at once on one int whose 32-bit lanes are the column
+        # words.  x2, x4 and x8 apply xtime to every byte; n9, nb, nd
+        # and ne are the byte products with 09, 0b, 0d and 0e.  Row j of
+        # INV_MIX_MATRIX is row 0 rotated right j places, so each column
+        # becomes ne ^ rotl8(nb) ^ rotl16(nd) ^ rotl24(n9), rotating
+        # within its lane.
+        n_r = self.n_r
+        enc_words = self.enc_words
+        n = 4 * n_r - 4
+        v = int.from_bytes(self._key_bytes(1, n_r), "big")
+        lanes = int.from_bytes(b"\0\0\0\1" * n, "big")
+        ones = lanes * 0x01010101
+        low7 = ones * 0x7F
+        x2 = (v & low7) << 1 ^ (v >> 7 & ones) * 0x1B
+        x4 = (x2 & low7) << 1 ^ (x2 >> 7 & ones) * 0x1B
+        x8 = (x4 & low7) << 1 ^ (x4 >> 7 & ones) * 0x1B
+        n9 = x8 ^ v
+        nb = n9 ^ x2
+        nd = n9 ^ x4
+        ne = x8 ^ x4 ^ x2
+        inv = struct.unpack(f">{n}I", (
+            ne
+            ^ (nb << 8 & lanes * 0xFFFFFF00 | nb >> 24 & lanes * 0xFF)
+            ^ (nd << 16 & lanes * 0xFFFF0000 | nd >> 16 & lanes * 0xFFFF)
+            ^ (n9 << 24 & lanes * 0xFF000000 | n9 >> 8 & lanes * 0xFFFFFF)
+        ).to_bytes(4 * n, "big"))
+        dec_words = (
+            enc_words[0],
+            *[inv[o:o + 4] for o in range(0, n, 4)],
+            enc_words[n_r],
+        )
+        object.__setattr__(self, "_dec_words", dec_words)
+        return dec_words
 
 
 def load_state(block: bytes) -> State:
@@ -87,7 +153,8 @@ def key_expansion(key: bytes, n_r: int | None = None) -> KeySchedule:
 
     n_r defaults to the standard round count for the key size (10/12/14)
     but may be any count >= 1 for round-reduced or round-extended
-    experiments; the expansion simply runs long enough.
+    experiments; the expansion simply runs long enough.  The schedule
+    derives its round-key matrices and decrypt key words on first read.
     """
     if len(key) not in ROUNDS_BY_KEY_BYTES:
         raise ValueError(
@@ -115,47 +182,11 @@ def key_expansion(key: bytes, n_r: int | None = None) -> KeySchedule:
                  | sbox[t >> 8 & 0xFF] << 8 | sbox[t & 0xFF])
         w.append(w[i - nk] ^ t)
 
-    # Row i of round key r holds byte i of its four column words.
-    kb = struct.pack(f">{n_words}I", *w)
-    kl = list(kb)
-    round_keys = [[kl[o:o + 16:4], kl[o + 1:o + 16:4], kl[o + 2:o + 16:4],
-                   kl[o + 3:o + 16:4]] for o in range(0, 4 * n_words, 16)]
     # Tuples are built from lists, not generators.  CPython grows a tuple
     # from a generator by resizing it, which skips the per-size tuple
     # free list when allocating but refills it on release, so each
     # schedule would park its tuples there (about 1 MB at steady state).
-    enc_words = tuple([tuple(w[o:o + 4]) for o in range(0, n_words, 4)])
-
-    # FIPS-197 5.3.5: InvMixColumns of round keys 1..n_r-1, every column
-    # at once on one int whose 32-bit lanes are the column words.  x2, x4
-    # and x8 apply xtime to every byte; n9, nb, nd and ne are the byte
-    # products with 09, 0b, 0d and 0e.  Row j of INV_MIX_MATRIX is row 0
-    # rotated right j places, so each column becomes
-    # ne ^ rotl8(nb) ^ rotl16(nd) ^ rotl24(n9), rotating within its lane.
-    n = 4 * n_r - 4
-    v = int.from_bytes(kb[16:16 * n_r], "big")
-    lanes = int.from_bytes(b"\0\0\0\1" * n, "big")
-    ones = lanes * 0x01010101
-    low7 = ones * 0x7F
-    x2 = (v & low7) << 1 ^ (v >> 7 & ones) * 0x1B
-    x4 = (x2 & low7) << 1 ^ (x2 >> 7 & ones) * 0x1B
-    x8 = (x4 & low7) << 1 ^ (x4 >> 7 & ones) * 0x1B
-    n9 = x8 ^ v
-    nb = n9 ^ x2
-    nd = n9 ^ x4
-    ne = x8 ^ x4 ^ x2
-    inv = struct.unpack(f">{n}I", (
-        ne
-        ^ (nb << 8 & lanes * 0xFFFFFF00 | nb >> 24 & lanes * 0xFF)
-        ^ (nd << 16 & lanes * 0xFFFF0000 | nd >> 16 & lanes * 0xFFFF)
-        ^ (n9 << 24 & lanes * 0xFF000000 | n9 >> 8 & lanes * 0xFFFFFF)
-    ).to_bytes(4 * n, "big"))
-    dec_words = (
-        enc_words[0],
-        *[inv[o:o + 4] for o in range(0, n, 4)],
-        enc_words[n_r],
-    )
-    return KeySchedule(round_keys, n_r, enc_words, dec_words)
+    return KeySchedule(n_r, tuple([tuple(w[o:o + 4]) for o in range(0, n_words, 4)]))
 
 
 def add_round_key(state: State, round_key: list) -> State:

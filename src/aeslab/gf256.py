@@ -80,9 +80,12 @@ def _affine(x: int) -> int:
 
 class ReadOnly:
     """Base of the package's table and key-schedule records.  __init__
-    fills the slots with object.__setattr__; any later assignment or
-    deletion raises AttributeError, so shared instances are only ever
-    read."""
+    fills the slots with object.__setattr__, and a record may fill a
+    slot the same way when it derives a field on first read (as
+    KeySchedule does); any assignment or deletion through the instance
+    raises AttributeError.  A derived slot is written only with a
+    finished value, equal whichever thread derives it, so shared
+    instances may be read concurrently."""
 
     __slots__ = ()
 

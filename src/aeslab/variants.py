@@ -83,9 +83,11 @@ class VariantPlan(ReadOnly):
     runs groups rounds 1..n_r-1 into maximal runs that take the same
     path, as (fused, first, stop) for rounds first..stop-1 in order; the
     final round, which has no MixColumns, is not part of any run.
+    all_fused is True when every round takes the optimized path, so the
+    block kernels never read the schedule's round-key matrices.
     """
 
-    __slots__ = ("variant_id", "round_flags", "runs")
+    __slots__ = ("variant_id", "round_flags", "runs", "all_fused")
 
     def __init__(self, variant_id: str, round_flags: tuple):
         runs, first = [], 1
@@ -96,6 +98,7 @@ class VariantPlan(ReadOnly):
         object.__setattr__(self, "variant_id", variant_id)
         object.__setattr__(self, "round_flags", round_flags)
         object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "all_fused", all(round_flags))
 
     @property
     def n_r(self) -> int:
@@ -265,6 +268,7 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     w = ks.enc_words
+    rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
     t0, t1, t2, t3 = T_TABLES.enc
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
@@ -283,7 +287,6 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
                 s2 = t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7] ^ k2
                 s3 = t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11] ^ k3
         else:
-            rk = ks.round_keys
             s = _matrix(s0, s1, s2, s3)
             for r in range(first, stop):
                 s = sub_bytes(s)
@@ -295,7 +298,7 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
         s = _matrix(s0, s1, s2, s3)
         s = sub_bytes(s)
         s = shift_rows(s)
-        s = add_round_key(s, ks.round_keys[n_r])
+        s = add_round_key(s, rk[n_r])
         return store_state(s)
     box = S_BOX
     k0, k1, k2, k3 = w[n_r]
@@ -329,6 +332,7 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     w = ks.dec_words
+    rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
     d0, d1, d2, d3 = T_TABLES.dec
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
@@ -347,7 +351,6 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
                 s2 = d0[b8] ^ d1[b5] ^ d2[b2] ^ d3[b15] ^ k2
                 s3 = d0[b12] ^ d1[b9] ^ d2[b6] ^ d3[b3] ^ k3
         else:
-            rk = ks.round_keys
             s = _matrix(s0, s1, s2, s3)
             for r in range(stop - 1, first - 1, -1):
                 s = inv_shift_rows(s)
@@ -359,7 +362,7 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
         s = _matrix(s0, s1, s2, s3)
         s = inv_shift_rows(s)
         s = inv_sub_bytes(s)
-        s = add_round_key(s, ks.round_keys[0])
+        s = add_round_key(s, rk[0])
         return store_state(s)
     box = INV_S_BOX
     k0, k1, k2, k3 = w[0]

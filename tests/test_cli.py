@@ -290,17 +290,23 @@ def test_bench_cli_refuses_options_its_run_ignores(capsys, run_args, flag, value
     assert flag in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "0"),
-    ("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "2"),
-    ("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "3", "--warmup", "-3"),
-    ("--micro", "--micro-iters", "2", "--reps", "3"),
-], ids=["sweep-reps-0", "sweep-reps-2", "sweep-warmup", "micro-iters-below-reps"])
-def test_bench_cli_refuses_bad_counts(capsys, argv):
+@pytest.mark.parametrize("argv,flags", [
+    (("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "0"), ("--reps",)),
+    (("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "2"), ("--reps",)),
+    (("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "3", "--warmup", "-3"), ("--warmup",)),
+    (("--micro", "--micro-iters", "2", "--reps", "3"), ("--micro-iters", "--reps")),
+    (("--sizes", "64", "--reps", "2"), ("--reps",)),
+    (("--sizes", "64", "--reps", "3", "--warmup", "-1"), ("--warmup",)),
+    (("--micro", "--reps", "1"), ("--reps",)),
+], ids=["sweep-reps-0", "sweep-reps-2", "sweep-warmup", "micro-iters-below-reps",
+        "matrix-reps-2", "matrix-warmup", "micro-reps-1"])
+def test_bench_cli_refuses_bad_counts(capsys, argv, flags):
     assert run("bench", *argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for flag in flags:
+        assert flag in captured.err
 
 
 def test_bench_cli_sweep(tmp_path):

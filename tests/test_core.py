@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +22,10 @@ from aeslab.core import (
     store_state,
     sub_bytes,
 )
+from aeslab.variants import decrypt_block_variant, encrypt_block_variant, make_plan
 
 from reference import (
+    MIX_INV,
     aes_decrypt_oracle,
     aes_encrypt_oracle,
     key_words_oracle,
@@ -122,9 +126,89 @@ def test_key_expansion_property(key_bytes, n_r, key):
 
 
 def test_key_schedule_is_frozen():
-    ks = key_expansion(bytes(16))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ks.dec_words = ks.enc_words
+    # Before and after the derived fields are first read.
+    for derive in (False, True):
+        ks = key_expansion(bytes(16))
+        if derive:
+            ks.round_keys, ks.dec_words
+        for name in ("round_keys", "dec_words", "enc_words", "n_r"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ks, name, ks.enc_words)
+
+
+def _oracle_schedule(key, n_r):
+    """Round-key matrices and decrypt key words from the oracle's words."""
+    words = key_words_oracle(key, n_r)
+    n_r = len(words) // 4 - 1
+    round_keys = [[[words[4 * r + j][i] for j in range(4)] for i in range(4)]
+                  for r in range(n_r + 1)]
+    dec_words = []
+    for r in range(n_r + 1):
+        cols = words[4 * r:4 * r + 4]
+        if 0 < r < n_r:
+            cols = [[poly_mul_mod(m[0], c[0]) ^ poly_mul_mod(m[1], c[1])
+                     ^ poly_mul_mod(m[2], c[2]) ^ poly_mul_mod(m[3], c[3]) for m in MIX_INV]
+                    for c in cols]
+        dec_words.append(tuple(int.from_bytes(bytes(c), "big") for c in cols))
+    return round_keys, tuple(dec_words)
+
+
+def test_key_schedule_derived_fields_are_kept():
+    ks = key_expansion(bytes(range(24)))
+    assert ks.round_keys is ks.round_keys
+    assert ks.dec_words is ks.dec_words
+
+
+@pytest.mark.parametrize("order", [("dec_words", "round_keys"), ("round_keys", "dec_words")])
+@pytest.mark.parametrize("key_bytes,n_r", [(16, None), (24, None), (32, None), (16, 1), (32, 3)])
+def test_key_schedule_derived_fields_in_either_order(order, key_bytes, n_r):
+    key = random.Random(key_bytes).randbytes(key_bytes)
+    ks = key_expansion(key, n_r)
+    expected = dict(zip(("round_keys", "dec_words"), _oracle_schedule(key, n_r)))
+    for name in order:
+        assert getattr(ks, name) == expected[name]
+
+
+def test_key_schedule_concurrent_first_reads():
+    # Threads released together read dec_words (and round_keys) of one
+    # fresh schedule, with a short switch interval so their derivations
+    # interleave; every thread must see the oracle's values.
+    rng = random.Random(20)
+    cases = [(rng.randbytes(rng.choice([16, 24, 32])), rng.randrange(1, 15)) for _ in range(20)]
+    n_threads = 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for key, n_r in cases:
+            ks = key_expansion(key, n_r)
+            barrier = threading.Barrier(n_threads, timeout=10)
+            seen = [None] * n_threads
+
+            def read(i, ks=ks, barrier=barrier, seen=seen):
+                barrier.wait()
+                seen[i] = (ks.dec_words, ks.round_keys)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            expected_rk, expected_dec = _oracle_schedule(key, n_r)
+            assert seen == [(expected_dec, expected_rk)] * n_threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("key_hex,ct_hex", KAT_VECTORS)
+def test_optf_on_fresh_schedules_round_trips(key_hex, ct_hex):
+    # Each call gets a schedule no one has read a derived field of, so
+    # the first block derives dec_words inside the kernel.
+    key = bytes.fromhex(key_hex)
+    plan = make_plan("optf", key_expansion(key).n_r)
+    ct = encrypt_block_variant(KAT_PLAINTEXT, key_expansion(key), plan)
+    assert ct.hex() == ct_hex
+    assert decrypt_block_variant(ct, key_expansion(key), plan) == KAT_PLAINTEXT
 
 
 def test_key_expansion_rejects_zero_rounds():
