@@ -87,13 +87,12 @@ def flatness_chi_square(h: HistogramReport) -> tuple:
     )
 
 
-def histogram_csv_lines(h: HistogramReport, label: str = "") -> list:
-    """One line per bin (gnuplot-friendly): bin, blue, green, red."""
-    prefix = f"{label}," if label else ""
-    head = "image,bin,blue,green,red" if label else "bin,blue,green,red"
-    lines = [head]
+def histogram_csv_lines(h: HistogramReport, label: str) -> list:
+    """One line per bin (gnuplot-friendly): image label, bin, blue,
+    green, red."""
+    lines = ["image,bin,blue,green,red"]
     for v in range(256):
-        lines.append(f"{prefix}{v},{h.counts[0][v]},{h.counts[1][v]},{h.counts[2][v]}")
+        lines.append(f"{label},{v},{h.counts[0][v]},{h.counts[1][v]},{h.counts[2][v]}")
     return lines
 
 

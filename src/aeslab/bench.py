@@ -1,9 +1,12 @@
-"""Wall-clock benchmark harness.
+"""Benchmark harness.
 
 Reproduces the encryption-time-vs-payload-size experiment across key
 sizes, optimization variants, and modes; a round-count sweep; and
-per-transform microbenchmarks.  Absolute timings are machine-specific,
-so assertions elsewhere target relative orderings only; measured
+per-transform microbenchmarks.  Every measurement is process CPU time
+(time.process_time), not wall-clock time: on a shared machine the wall
+clock also counts time spent running other processes, which reaches
+the timings as noise.  Absolute timings are machine-specific, so
+assertions elsewhere target relative orderings only; measured
 percentages are printed beside the originally reported bands for
 qualitative comparison.
 
@@ -97,9 +100,9 @@ class BenchResult:
 
 
 def _time_call(fn) -> float:
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     fn()
-    return time.perf_counter() - t0
+    return time.process_time() - t0
 
 
 def _expand(key: bytes, n_r: int | None, repetitions: int):
@@ -182,9 +185,9 @@ def run_matrix(cfg: BenchConfig) -> list:
     results = []
     for size in cfg.sizes:
         payload = rng.randbytes(size)
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         padded = pkcs7_pad(payload)
-        pad_s = time.perf_counter() - t0
+        pad_s = time.process_time() - t0
         for key_bits in cfg.key_sizes:
             key = rng.randbytes(key_bits // 8)
             schedules = [_expand(key, n_r, cfg.repetitions) for n_r in round_counts]
@@ -221,7 +224,8 @@ def run_matrix(cfg: BenchConfig) -> list:
     return results
 
 
-# The round-count growth experiment: the matrix cells it times.
+# The round-count growth experiment: the matrix cells it times.  A
+# sweep with other fields runs run_matrix(BenchConfig(**{**SWEEP, ...})).
 SWEEP = {
     "sizes": (32 * 1024,),
     "key_sizes": (128,),
@@ -230,12 +234,6 @@ SWEEP = {
     "ops": OPS,
     "rounds": (2, 4, 6, 8, 10),
 }
-
-
-def round_sweep(**options) -> list:
-    """Encrypt and decrypt timings while the round count steps up: the
-    matrix run on SWEEP, with `options` replacing any BenchConfig field."""
-    return run_matrix(BenchConfig(**{**SWEEP, **options}))
 
 
 TRANSFORM_PATHS = {
@@ -359,19 +357,21 @@ def variant_gain_lines(results: list) -> list:
 
 
 def sweep_growth_lines(results: list) -> list:
-    """Median growth between consecutive round counts, per operation."""
+    """Median growth between consecutive round counts, per series of
+    cells that differ only in round count."""
     series = {}
     for r in results:
-        series.setdefault((r.size_bytes, r.op), []).append(r)
+        series.setdefault((r.size_bytes, r.key_bits, r.variant, r.mode, r.op), []).append(r)
     lines = []
-    for (size, op), rs in sorted(series.items()):
+    for (size, key_bits, variant, mode, op), rs in sorted(series.items()):
         rs.sort(key=lambda r: r.n_r)
         lo, hi = REPORTED_SWEEP_BAND.get(op, (None, None))
         band = f" (reported band: {lo:.0f}-{hi:.0f}%)" if lo is not None else ""
         for a, b in zip(rs, rs[1:]):
             growth = (b.median_s - a.median_s) / a.median_s * 100.0
             lines.append(
-                f"{op} {size}B: rounds {a.n_r}->{b.n_r} time {growth:+.1f}%{band}"
+                f"{mode}/{op} {size}B key{key_bits} {variant}: "
+                f"rounds {a.n_r}->{b.n_r} time {growth:+.1f}%{band}"
             )
     return lines
 

@@ -1,10 +1,11 @@
 """Command-line interface: encrypt, decrypt, make-image, analyze, bench,
 and cost subcommands.
 
-Exit codes: 0 success, 2 usage error, 3 input error (missing/malformed
-files or arguments), 4 integrity error (padding check failed on
-decryption).  Every subcommand is scriptable: no prompts, and all
-randomness is seedable via --seed.
+Exit codes: 0 success, 2 usage error (including a flag value out of
+range), 3 input error (missing or malformed files, keys or IVs), 4
+integrity error (padding check failed on decryption).  Every
+subcommand is scriptable: no prompts, and all randomness is seedable
+via --seed.
 """
 
 import argparse
@@ -181,6 +182,8 @@ def _parse_iv(args) -> bytes | None:
 
 
 def _cmd_crypt(args) -> int:
+    if args.rounds is not None and args.rounds < 1:
+        raise UsageError(f"--rounds must be >= 1, got {args.rounds}")
     key = _load_key(args)
     ks = key_expansion(key, args.rounds)
     plan = make_plan(args.variant, ks.n_r)
@@ -223,6 +226,9 @@ def _cmd_crypt(args) -> int:
 
 
 def _cmd_make_image(args) -> int:
+    for flag, value in (("--width", args.width), ("--height", args.height)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     img = bmp.make_test_image(args.pattern, args.width, args.height)
     _write_file(args.out_path, bmp.serialize_bmp(img))
     return EXIT_OK
@@ -235,7 +241,7 @@ def _analyze_one(label: str, data: bytes):
         raise InputError(f"{label}: {e}") from e
     h = analysis.histogram(img)
     leak = analysis.duplicate_block_ratio(img.pixels)
-    return img, h, leak
+    return h, leak
 
 
 def _cmd_analyze(args) -> int:
@@ -243,7 +249,7 @@ def _cmd_analyze(args) -> int:
     if args.compare:
         inputs.append((args.compare, _read_file(args.compare)))
 
-    reports = [(label, *_analyze_one(label, data)[1:]) for label, data in inputs]
+    reports = [(label, *_analyze_one(label, data)) for label, data in inputs]
 
     if args.report == "csv":
         lines = [analysis.METRICS_CSV_HEADER]

@@ -14,11 +14,12 @@ from one table-free InvMixColumns pass over all middle round keys held
 as a single int.  An all-fused (OptF) encrypt reads neither, and only
 the variants' decrypt kernels read the second.
 
-The schedule is read-only: assigning a field raises, and nothing in the
-package mutates a field's contents.  Threads may share one schedule.
-Two threads reading a derived field for the first time may both derive
-it; both get equal values, and its slot is only ever written with a
-finished list or tuple, so encrypt/decrypt are safe for concurrent use.
+The schedule is read-only: assigning or deleting a field raises
+AttributeError, and nothing in the package mutates a field's contents.
+Threads may share one schedule.  Two threads reading a derived field
+for the first time may both derive it; both get equal values, and its
+slot is only ever written with a finished list or tuple, so
+encrypt/decrypt are safe for concurrent use.
 """
 
 import struct
@@ -47,8 +48,8 @@ State = list  # 4 rows of 4 ints
 
 
 class KeySchedule(ReadOnly):
-    """Expanded round keys, read-only: assigning a field raises
-    dataclasses.FrozenInstanceError (an AttributeError).
+    """Expanded round keys, read-only: assigning or deleting a field
+    raises AttributeError.
 
     enc_words[r] is round key r as four big-endian column words, a tuple
     of 4-tuples of ints, complete when key_expansion returns.
@@ -69,12 +70,6 @@ class KeySchedule(ReadOnly):
         set_field = object.__setattr__
         set_field(self, "n_r", n_r)
         set_field(self, "enc_words", enc_words)
-
-    def __setattr__(self, name, value):
-        # Imported only here: dataclasses pulls in inspect, ast and dis,
-        # which take longer to import than the whole package.
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def _key_bytes(self, first: int, stop: int) -> bytes:
         """Round keys first..stop-1 as packed big-endian column words."""

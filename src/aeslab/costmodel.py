@@ -3,8 +3,8 @@
 A pure calculator over the block-length parameter N_b, the round count
 N_r, and the unit costs of bitwise AND (T_a), OR (T_o), and shift (T_s).
 It is not asserted to match measured instruction counts of this
-package's own code paths; reports juxtapose its predictions with wall
-timings for qualitative comparison only.
+package's own code paths; reports juxtapose its predictions with
+measured timings for qualitative comparison only.
 """
 
 from dataclasses import dataclass
@@ -29,38 +29,6 @@ class CostParams:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if min(self.t_a, self.t_o, self.t_s) < 0:
             raise ValueError("unit costs must be nonnegative")
-
-
-@dataclass(frozen=True)
-class OpCounts:
-    ands: int = 0
-    ors: int = 0
-    xors: int = 0
-    shifts: int = 0
-
-
-# Per-transform operation counts, each linear in n_b.  The per-round
-# counts come in two published forms (XOR-based and AND-based); both are
-# exposed verbatim, unreconciled.  The closed-form totals below are the
-# canonical model.
-_TRANSFORM_COUNTS = {
-    "addroundkey": lambda n_b: OpCounts(ands=8 * n_b, ors=4 * n_b),
-    "subbytes": lambda n_b: OpCounts(ands=3 * n_b, ors=2 * n_b),
-    "shiftrows": lambda n_b: OpCounts(ors=3 * n_b, shifts=3 * n_b),
-    "roundxorform": lambda n_b: OpCounts(xors=19 * n_b, ors=8 * n_b, shifts=64 * n_b),
-    "roundandform": lambda n_b: OpCounts(ands=38 * n_b, ors=27 * n_b, shifts=64 * n_b),
-}
-
-
-def transform_counts(transform: str, n_b: int) -> OpCounts:
-    """Operation counts for one application of a named transform."""
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    key = transform.lower().replace("_", "").replace("-", "")
-    try:
-        return _TRANSFORM_COUNTS[key](n_b)
-    except KeyError:
-        raise ValueError(f"unknown transform {transform!r}") from None
 
 
 def encrypt_cycle_coefficients(n_b: int, n_r: int) -> tuple:

@@ -18,18 +18,18 @@ class PaddingError(ValueError):
     """Ciphertext decrypted to an invalid PKCS#7 padding pattern."""
 
 
-def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
+def pkcs7_pad(data: bytes) -> bytes:
     """Append k bytes of value k so the length reaches the next multiple
-    of block_size (a full extra block when already aligned)."""
-    k = block_size - len(data) % block_size
+    of BLOCK_SIZE (a full extra block when already aligned)."""
+    k = BLOCK_SIZE - len(data) % BLOCK_SIZE
     return data + bytes([k]) * k
 
 
-def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
-    if len(data) == 0 or len(data) % block_size != 0:
-        raise ValueError(f"padded data length {len(data)} is not a positive multiple of {block_size}")
+def pkcs7_unpad(data: bytes) -> bytes:
+    if len(data) == 0 or len(data) % BLOCK_SIZE != 0:
+        raise ValueError(f"padded data length {len(data)} is not a positive multiple of {BLOCK_SIZE}")
     k = data[-1]
-    if k < 1 or k > block_size or data[-k:] != bytes([k]) * k:
+    if k < 1 or k > BLOCK_SIZE or data[-k:] != bytes([k]) * k:
         raise PaddingError("invalid PKCS#7 padding")
     return data[:-k]
 

@@ -64,16 +64,8 @@ class TTables(ReadOnly):
         object.__setattr__(self, "dec", dec)
 
     @property
-    def enc_footprint_bytes(self) -> int:
-        return sum(4 * len(t) for t in self.enc)
-
-    @property
-    def dec_footprint_bytes(self) -> int:
-        return sum(4 * len(t) for t in self.dec)
-
-    @property
     def footprint_bytes(self) -> int:
-        return self.enc_footprint_bytes + self.dec_footprint_bytes
+        return sum(4 * len(t) for t in (*self.enc, *self.dec))
 
 
 class VariantPlan(ReadOnly):
@@ -87,15 +79,14 @@ class VariantPlan(ReadOnly):
     block kernels never read the schedule's round-key matrices.
     """
 
-    __slots__ = ("variant_id", "round_flags", "runs", "all_fused")
+    __slots__ = ("round_flags", "runs", "all_fused")
 
-    def __init__(self, variant_id: str, round_flags: tuple):
+    def __init__(self, round_flags: tuple):
         runs, first = [], 1
         for fused, group in groupby(round_flags[:-1]):
             stop = first + len(tuple(group))
             runs.append((fused, first, stop))
             first = stop
-        object.__setattr__(self, "variant_id", variant_id)
         object.__setattr__(self, "round_flags", round_flags)
         object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "all_fused", all(round_flags))
@@ -173,7 +164,7 @@ def make_plan(variant_id: str, n_r: int) -> VariantPlan:
     fused = _variant(variant_id).fused
     if fused is None:
         raise ValueError(f"variant {variant_id!r} has no round plan")
-    return VariantPlan(variant_id.lower(), tuple(fused(i) for i in range(n_r)))
+    return VariantPlan(tuple(fused(i) for i in range(n_r)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from aeslab.analysis import (
     shannon_entropy,
 )
 from aeslab.bench import (
+    SWEEP,
     BenchConfig,
-    round_sweep,
     run_matrix,
     sweep_growth_lines,
     variant_gain_lines,
@@ -216,8 +216,10 @@ def test_performance_direction():
         # ordering is asserted on the fastest of 9 reps: load from other
         # processes only ever adds time, so the minimum is the least
         # noisy estimate of each cell's cost.
-        sweep = round_sweep(sizes=(16 * 1024,), rounds=(2, 4, 6, 8, 10),
-                            repetitions=9, warmup=1, seed=2004)
+        sweep = run_matrix(BenchConfig(**{
+            **SWEEP, "sizes": (16 * 1024,), "rounds": (2, 4, 6, 8, 10),
+            "repetitions": 9, "warmup": 1, "seed": 2004,
+        }))
         growth = {}
         for op in ("encrypt", "decrypt"):
             series = sorted((r for r in sweep if r.op == op), key=lambda r: r.n_r)

@@ -181,10 +181,8 @@ def test_chi_square_of_cbc_ciphertext_below_quantile(ks, optf):
 
 def test_histogram_csv_shape():
     img = make_test_image("constant-color", 8, 8)
-    lines = histogram_csv_lines(histogram(img))
-    assert lines[0] == "bin,blue,green,red"
-    assert len(lines) == 257
     labeled = histogram_csv_lines(histogram(img), "plain")
+    assert len(labeled) == 257
     assert labeled[0] == "image,bin,blue,green,red"
     assert labeled[1].startswith("plain,0,")
 

@@ -6,13 +6,13 @@ import pytest
 
 from aeslab import bench
 from aeslab.bench import (
+    SWEEP,
     BenchConfig,
     BenchResult,
     emit_report,
     microbench_all,
     microbench_gain_lines,
     microbench_transform,
-    round_sweep,
     run_matrix,
     sweep_growth_lines,
     variant_gain_lines,
@@ -92,13 +92,14 @@ def test_matrix_covers_modes_and_decrypt():
 
 
 def test_round_sweep_mechanics():
-    results = round_sweep(sizes=(1024,), rounds=(1, 2), repetitions=3, warmup=0, seed=7)
+    results = run_matrix(BenchConfig(**{**SWEEP, "sizes": (1024,), "rounds": (1, 2),
+                                        "repetitions": 3, "warmup": 0, "seed": 7}))
     assert len(results) == 4  # 2 round counts x encrypt/decrypt
     assert {r.n_r for r in results} == {1, 2}
     assert {r.op for r in results} == {"encrypt", "decrypt"}
     assert all(r.expand_s > 0 for r in results)
     with pytest.raises(ValueError):
-        round_sweep(rounds=(0,))
+        run_matrix(BenchConfig(**{**SWEEP, "rounds": (0,)}))
 
 
 def test_round_sweep_interleaves_round_counts(monkeypatch):
@@ -112,7 +113,8 @@ def test_round_sweep_interleaves_round_counts(monkeypatch):
         return measure(cells, repetitions, warmup)
 
     monkeypatch.setattr(bench, "_verify_then_measure", recording)
-    results = round_sweep(sizes=(64, 128), rounds=(1, 2), repetitions=3, warmup=0, seed=7)
+    results = run_matrix(BenchConfig(**{**SWEEP, "sizes": (64, 128), "rounds": (1, 2),
+                                        "repetitions": 3, "warmup": 0, "seed": 7}))
     cells = {(n_r, op) for n_r in (1, 2) for op in ("encrypt", "decrypt")}
     assert calls == [cells, cells]  # one call per size
     assert len(results) == 8
@@ -188,6 +190,19 @@ def test_sweep_growth_lines():
     assert "14-19%" in lines[0]
 
 
+def test_sweep_growth_lines_keep_each_series_apart():
+    # A sweep over two variants is two series; the growth of each is
+    # taken between its own round counts.
+    results = [_fake_result("base", "encrypt", 1.0, n_r=1),
+               _fake_result("optf", "encrypt", 0.5, n_r=1),
+               _fake_result("base", "encrypt", 1.2, n_r=2),
+               _fake_result("optf", "encrypt", 0.6, n_r=2)]
+    lines = sweep_growth_lines(results)
+    assert len(lines) == 2
+    assert lines[0].startswith("ecb/encrypt 1000B key128 base: rounds 1->2 time +20.0%")
+    assert lines[1].startswith("ecb/encrypt 1000B key128 optf: rounds 1->2 time +20.0%")
+
+
 def test_microbench_gain_lines():
     results = microbench_all(iterations=300, repetitions=3)
     lines = microbench_gain_lines(results)
@@ -212,7 +227,7 @@ def test_matrix_output_check_is_first_warmup_pass(monkeypatch, warmup):
     encrypt = bench.encrypt_with_residual
 
     def counting(data, ks, mode, plan, iv):
-        runs.append(plan.variant_id)
+        runs.append("optf" if plan.all_fused else "base")
         return encrypt(data, ks, mode, plan, iv)
 
     monkeypatch.setattr(bench, "encrypt_with_residual", counting)

@@ -96,6 +96,14 @@ def test_usage_and_input_errors(tmp_path, raw_file):
     # unknown flag
     assert run("encrypt", "--mode", "ecb", "--key-hex", KEY, "--frobnicate",
                "--in", str(raw_file), "--out", out) == EXIT_USAGE
+    # a flag value out of range is a usage error in every subcommand
+    for command in ("encrypt", "decrypt"):
+        for rounds in ("0", "-3"):
+            assert run(command, "--mode", "ecb", "--key-hex", KEY, "--rounds", rounds,
+                       "--in", str(raw_file), "--out", out) == EXIT_USAGE
+    for flag in ("--width", "--height"):
+        assert run("make-image", "--pattern", "gradient", flag, "0",
+                   "--out", out) == EXIT_USAGE
 
 
 def test_key_file(tmp_path, raw_file):

@@ -5,32 +5,12 @@ import sympy
 
 from aeslab.costmodel import (
     CostParams,
-    OpCounts,
     cost_grid_rows,
     decrypt_cycles,
     encrypt_cycle_coefficients,
     encrypt_cycles,
     mixcol_delta,
-    transform_counts,
 )
-
-
-def test_transform_counts_examples():
-    assert transform_counts("AddRoundKey", 4) == OpCounts(ands=32, ors=16)
-    assert transform_counts("ShiftRows", 4) == OpCounts(ors=12, shifts=12)
-    assert transform_counts("SubBytes", 1) == OpCounts(ands=3, ors=2)
-
-
-def test_transform_counts_round_forms():
-    assert transform_counts("RoundXORForm", 4) == OpCounts(xors=76, ors=32, shifts=256)
-    assert transform_counts("RoundANDForm", 4) == OpCounts(ands=152, ors=108, shifts=256)
-
-
-def test_transform_counts_rejects_unknown():
-    with pytest.raises(ValueError):
-        transform_counts("MixColumns", 4)
-    with pytest.raises(ValueError):
-        transform_counts("AddRoundKey", 0)
 
 
 def test_encrypt_cycles_substitution():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import aeslab
+from aeslab.core import key_expansion
 from aeslab.gf256 import MUL_TABLE, SBOX_PAIR
 from aeslab.variants import T_TABLES, make_plan
 
@@ -24,7 +25,8 @@ def test_import_leaves_out_heavy_modules():
     (MUL_TABLE, "rows"),
     (T_TABLES, "enc"),
     (make_plan("opt1", 10), "runs"),
-], ids=["sbox", "mul_table", "t_tables", "plan"])
+    (key_expansion(bytes(16)), "enc_words"),
+], ids=["sbox", "mul_table", "t_tables", "plan", "key_schedule"])
 def test_shared_records_are_read_only(record, field):
     value = getattr(record, field)
     with pytest.raises(AttributeError):

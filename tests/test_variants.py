@@ -41,8 +41,8 @@ def random_state(rng):
 
 def test_t_tables_footprint():
     t = build_t_tables()
-    assert t.enc_footprint_bytes == 4096
-    assert t.dec_footprint_bytes == 4096
+    for tables in (t.enc, t.dec):
+        assert [len(table) for table in tables] == [256] * 4
     assert t.footprint_bytes == 8192
 
 
@@ -66,7 +66,7 @@ def test_t_table_entries_match_oracle():
 
 def single_stage_plan(n_r, stage):
     """Plan whose only optimized stage is stage (0-based round flag)."""
-    return VariantPlan("single", tuple(i == stage for i in range(n_r)))
+    return VariantPlan(tuple(i == stage for i in range(n_r)))
 
 
 def test_t_round_equals_baseline_round_composition():
@@ -235,7 +235,7 @@ def test_any_plan_matches_baseline_property(flags, key_bytes, key, block):
     # Arbitrary flag tuples give every run layout: one run or many, and
     # runs of length 1 at either end, with either final-round path.
     ks = key_expansion(key[:key_bytes], len(flags))
-    plan = VariantPlan("any", tuple(flags))
+    plan = VariantPlan(tuple(flags))
     ct = encrypt_block_variant(block, ks, plan)
     assert ct == encrypt_block(block, ks)
     assert decrypt_block_variant(ct, ks, plan) == block
@@ -245,7 +245,7 @@ def test_any_plan_matches_baseline_property(flags, key_bytes, key, block):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(flags=st.lists(st.booleans(), min_size=1, max_size=14))
 def test_plan_runs_cover_middle_rounds(flags):
-    plan = VariantPlan("any", tuple(flags))
+    plan = VariantPlan(tuple(flags))
     n_r = len(flags)
     rounds = []
     for i, (fused, first, stop) in enumerate(plan.runs):
