@@ -54,7 +54,9 @@ class KeySchedule(ReadOnly):
     enc_words[r] is round key r as four big-endian column words, a tuple
     of 4-tuples of ints, complete when key_expansion returns.
     round_keys and dec_words are derived from enc_words on first read
-    and kept in a slot, so later reads return the same object:
+    (__getattr__, which Python calls only while a slot is empty) and
+    kept in their slots, so later reads are plain slot reads returning
+    the same object:
     round_keys holds (n_r + 1) 4x4 matrices (lists) for the baseline
     rounds, and dec_words[r] is the equivalent inverse cipher's key
     (FIPS-197 5.3.5), round keys 0 and n_r as they are and round keys
@@ -64,37 +66,35 @@ class KeySchedule(ReadOnly):
     only with the finished value.
     """
 
-    __slots__ = ("n_r", "enc_words", "_round_keys", "_dec_words")
+    __slots__ = ("n_r", "enc_words", "round_keys", "dec_words")
 
     def __init__(self, n_r: int, enc_words: tuple):
         set_field = object.__setattr__
         set_field(self, "n_r", n_r)
         set_field(self, "enc_words", enc_words)
 
+    def __getattr__(self, name: str):
+        if name == "round_keys":
+            value = self._derive_round_keys()
+        elif name == "dec_words":
+            value = self._derive_dec_words()
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
     def _key_bytes(self, first: int, stop: int) -> bytes:
         """Round keys first..stop-1 as packed big-endian column words."""
         words = [w for rk in self.enc_words[first:stop] for w in rk]
         return struct.pack(f">{len(words)}I", *words)
 
-    @property
-    def round_keys(self) -> list:
-        try:
-            return self._round_keys
-        except AttributeError:
-            pass
+    def _derive_round_keys(self) -> list:
         # Row i of round key r holds byte i of its four column words.
         kl = list(self._key_bytes(0, self.n_r + 1))
-        round_keys = [[kl[o:o + 16:4], kl[o + 1:o + 16:4], kl[o + 2:o + 16:4],
-                       kl[o + 3:o + 16:4]] for o in range(0, len(kl), 16)]
-        object.__setattr__(self, "_round_keys", round_keys)
-        return round_keys
+        return [[kl[o:o + 16:4], kl[o + 1:o + 16:4], kl[o + 2:o + 16:4],
+                 kl[o + 3:o + 16:4]] for o in range(0, len(kl), 16)]
 
-    @property
-    def dec_words(self) -> tuple:
-        try:
-            return self._dec_words
-        except AttributeError:
-            pass
+    def _derive_dec_words(self) -> tuple:
         # FIPS-197 5.3.5: InvMixColumns of round keys 1..n_r-1, every
         # column at once on one int whose 32-bit lanes are the column
         # words.  x2, x4 and x8 apply xtime to every byte; n9, nb, nd
@@ -122,13 +122,11 @@ class KeySchedule(ReadOnly):
             ^ (nd << 16 & lanes * 0xFFFF0000 | nd >> 16 & lanes * 0xFFFF)
             ^ (n9 << 24 & lanes * 0xFF000000 | n9 >> 8 & lanes * 0xFFFFFF)
         ).to_bytes(4 * n, "big"))
-        dec_words = (
+        return (
             enc_words[0],
             *[inv[o:o + 4] for o in range(0, n, 4)],
             enc_words[n_r],
         )
-        object.__setattr__(self, "_dec_words", dec_words)
-        return dec_words
 
 
 def load_state(block: bytes) -> State:

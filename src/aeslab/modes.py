@@ -4,6 +4,11 @@ handling.
 Raw-file ciphertext layout: [16-byte IV || ciphertext] for CBC,
 [ciphertext] for ECB.  The IV travels in clear with the ciphertext;
 only its unpredictability matters.
+
+CBC encryption chains each block before encrypting it, so it runs block
+by block.  CBC decryption does not: with D the block decryption applied
+to every block of the ciphertext C, the plaintext is
+D(C) xor (IV || C[:-16]), one XOR over the whole message.
 """
 
 import os
@@ -79,17 +84,15 @@ def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
 
 
 def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
+    """M_i = D_k(C_i) xor C_{i-1} with C_0 = IV, all blocks at once."""
     _require_aligned(data)
     if len(iv) != BLOCK_SIZE:
         raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
     dec = decrypt_block_variant
-    out = []
-    prev = iv
-    for i in range(0, len(data), 16):
-        block = data[i:i + 16]
-        out.append(_xor_block(dec(block, ks, plan), prev))
-        prev = block
-    return b"".join(out)
+    n = len(data)
+    out = b"".join([dec(data[i:i + 16], ks, plan) for i in range(0, n, 16)])
+    chain = (iv + data)[:n]
+    return (int.from_bytes(out, "big") ^ int.from_bytes(chain, "big")).to_bytes(n, "big")
 
 
 def random_iv(rng: "random.Random | None" = None) -> bytes:

@@ -20,10 +20,14 @@ struct, and XOR the schedule's packed key words.  Each plan groups its
 middle rounds into runs of one path (VariantPlan.runs).  In a fused
 run, every round takes its 16 state bytes from one struct pack of the
 four words (byte 4c + i is row i of column c) and indexes the T-tables
-by them; the optimized final round indexes the S-box the same way.
-The state becomes the baseline 4x4 matrix only for a baseline run,
-which calls the core round functions, and is packed back into words
-after it.  The per-transform functions below work on the matrix and
+by them.  The optimized final round has no table to index: ShiftRows
+of the packed state x is the strided slice (x * 5)[::5], since byte
+4c + r of the result is byte 5(4c + r) mod 16 of x and 5 is prime to
+16, and SubBytes is one translate through the S-box; decryption takes
+stride 13 (InvShiftRows, 13 = -3 mod 16) and the inverse S-box.  The
+state becomes the baseline 4x4 matrix only for a baseline run, which
+calls the core round functions, and is packed back into words after
+it.  The per-transform functions below work on the matrix and
 serve the transform microbenchmarks.
 """
 
@@ -250,15 +254,18 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     lookups by those bytes plus XORs.  A baseline run turns the words
     into the 4x4 matrix, runs the core round functions and packs the
     words back.  The final round has no MixColumns, so its optimized
-    path takes S-box bytes shifted into place instead of table words.
+    path is ShiftRows as the strided slice (x * 5)[::5] of the packed
+    state x, then SubBytes as x.translate(S_BOX), then the key words.
     """
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
     flags = plan.round_flags
-    n_r = ks.n_r
+    # n_r comes from the key words, not ks.n_r: KeySchedule defines
+    # __getattr__, so CPython does not specialize reads of its fields.
+    w = ks.enc_words
+    n_r = len(w) - 1
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
-    w = ks.enc_words
     rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
     t0, t1, t2, t3 = T_TABLES.enc
@@ -291,16 +298,9 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
         s = shift_rows(s)
         s = add_round_key(s, rk[n_r])
         return store_state(s)
-    box = S_BOX
     k0, k1, k2, k3 = w[n_r]
-    (b0, b1, b2, b3, b4, b5, b6, b7,
-     b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
-    return pack(
-        (box[b0] << 24 | box[b5] << 16 | box[b10] << 8 | box[b15]) ^ k0,
-        (box[b4] << 24 | box[b9] << 16 | box[b14] << 8 | box[b3]) ^ k1,
-        (box[b8] << 24 | box[b13] << 16 | box[b2] << 8 | box[b7]) ^ k2,
-        (box[b12] << 24 | box[b1] << 16 | box[b6] << 8 | box[b11]) ^ k3,
-    )
+    s0, s1, s2, s3 = _BLOCK_WORDS.unpack((pack(s0, s1, s2, s3) * 5)[::5].translate(S_BOX))
+    return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
 
 
 def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
@@ -314,15 +314,17 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     fused stage is InvShiftRows + InvSubBytes + AddRoundKey +
     InvMixColumns as 16 lookups by the bytes of one struct pack; it adds
     ks.dec_words[r], the InvMixColumns image of round key r, after the
-    lookups, since InvMixColumns is linear.
+    lookups, since InvMixColumns is linear.  The optimized trailing stage
+    is InvShiftRows as the strided slice (x * 13)[::13], then
+    x.translate(INV_S_BOX), then round key 0.
     """
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
     flags = plan.round_flags
-    n_r = ks.n_r
+    w = ks.dec_words
+    n_r = len(w) - 1
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
-    w = ks.dec_words
     rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
     d0, d1, d2, d3 = T_TABLES.dec
@@ -355,16 +357,9 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
         s = inv_sub_bytes(s)
         s = add_round_key(s, rk[0])
         return store_state(s)
-    box = INV_S_BOX
     k0, k1, k2, k3 = w[0]
-    (b0, b1, b2, b3, b4, b5, b6, b7,
-     b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
-    return pack(
-        (box[b0] << 24 | box[b13] << 16 | box[b10] << 8 | box[b7]) ^ k0,
-        (box[b4] << 24 | box[b1] << 16 | box[b14] << 8 | box[b11]) ^ k1,
-        (box[b8] << 24 | box[b5] << 16 | box[b2] << 8 | box[b15]) ^ k2,
-        (box[b12] << 24 | box[b9] << 16 | box[b6] << 8 | box[b3]) ^ k3,
-    )
+    s0, s1, s2, s3 = _BLOCK_WORDS.unpack((pack(s0, s1, s2, s3) * 13)[::13].translate(INV_S_BOX))
+    return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
 
 
 def static_footprint(variant_id: str) -> dict:

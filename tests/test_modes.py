@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aeslab import modes
 from aeslab.core import encrypt_block, key_expansion
@@ -18,9 +20,9 @@ from aeslab.modes import (
     pkcs7_unpad,
     random_iv,
 )
-from aeslab.variants import make_plan
+from aeslab.variants import VARIANT_IDS, make_plan
 
-from reference import cbc_encrypt_oracle
+from reference import aes_decrypt_oracle, aes_encrypt_oracle, cbc_encrypt_oracle
 
 # The AES-128 Base plan: the core round functions on every round.
 BASE = make_plan("base", 10)
@@ -192,6 +194,12 @@ def test_cbc_rejects_bad_iv_and_length(ks):
         cbc_decrypt(bytes(15), ks, bytes(16), BASE)
 
 
+def test_cbc_empty_input(ks):
+    iv = bytes(range(16))
+    assert cbc_encrypt(b"", ks, iv, BASE) == b""
+    assert cbc_decrypt(b"", ks, iv, BASE) == b""
+
+
 # ---------------------------------------------------------------------------
 # IVs
 
@@ -255,6 +263,52 @@ def test_residual_preserves_length_and_tail(ks):
     assert out[-8:] == data[-8:]
     assert out[:992] != data[:992]
     assert decrypt_with_residual(out, ks, "ecb", BASE) == data
+
+
+def residual_oracle(data, key, n_r, iv, decrypt):
+    """The residual layout from the reference cipher: whole blocks in ECB
+    (iv None) or CBC, the sub-block tail passed through."""
+    cut = len(data) - len(data) % 16
+    out = []
+    prev = iv
+    for i in range(0, cut, 16):
+        block = data[i:i + 16]
+        if decrypt:
+            plain = aes_decrypt_oracle(block, key, n_r)
+            if iv is not None:
+                plain = bytes(a ^ b for a, b in zip(plain, prev))
+                prev = block
+            out.append(plain)
+        else:
+            if iv is not None:
+                block = bytes(a ^ b for a, b in zip(block, prev))
+            prev = aes_encrypt_oracle(block, key, n_r)
+            out.append(prev)
+    return b"".join(out) + data[cut:]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    vid=st.sampled_from(VARIANT_IDS),
+    mode=st.sampled_from(("ecb", "cbc")),
+    key_bytes=st.sampled_from((16, 24, 32)),
+    n_r=st.integers(1, 14),
+    key=st.binary(min_size=32, max_size=32),
+    iv=st.binary(min_size=16, max_size=16),
+    data=st.binary(max_size=80),
+)
+@example(vid="optf", mode="cbc", key_bytes=16, n_r=10, key=bytes(32), iv=bytes(range(16)), data=b"")
+@example(vid="base", mode="cbc", key_bytes=16, n_r=1, key=bytes(32), iv=bytes(16), data=bytes(15))
+def test_residual_matches_oracle_property(vid, mode, key_bytes, n_r, key, iv, data):
+    # Lengths below one block reach the mode loops with no whole block.
+    key = key[:key_bytes]
+    ks = key_expansion(key, n_r)
+    plan = make_plan(vid, n_r)
+    iv = iv if mode == "cbc" else None
+    ct = encrypt_with_residual(data, ks, mode, plan, iv)
+    assert ct == residual_oracle(data, key, n_r, iv, decrypt=False)
+    assert decrypt_with_residual(data, ks, mode, plan, iv) == residual_oracle(data, key, n_r, iv, decrypt=True)
+    assert decrypt_with_residual(ct, ks, mode, plan, iv) == data
 
 
 def test_residual_cbc_needs_iv(ks):

@@ -8,9 +8,12 @@ from aeslab.core import (
     add_round_key,
     decrypt_block,
     encrypt_block,
+    inv_shift_rows,
     key_expansion,
+    load_state,
     mix_columns,
     shift_rows,
+    store_state,
     sub_bytes,
 )
 from aeslab.modes import decrypt_blob, encrypt_blob, pkcs7_pad
@@ -62,6 +65,16 @@ def test_t_table_entries_match_oracle():
         for t in range(4):
             # table t is table 0 rotated right by t bytes
             assert list(T_TABLES.enc[t][x].to_bytes(4, "big")) == col[-t:] + col[:-t]
+
+
+def test_shift_rows_as_strided_slices():
+    # Byte 4c + r of ShiftRows is input byte 5(4c + r) mod 16, and of
+    # InvShiftRows input byte 13(4c + r) mod 16, as the optimized final
+    # rounds read them.
+    rng = random.Random(30)
+    for x in [bytes(range(16))] + [rng.randbytes(16) for _ in range(1000)]:
+        assert (x * 5)[::5] == store_state(shift_rows(load_state(x)))
+        assert (x * 13)[::13] == store_state(inv_shift_rows(load_state(x)))
 
 
 def single_stage_plan(n_r, stage):
