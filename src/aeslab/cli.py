@@ -12,7 +12,7 @@ import argparse
 import random
 import sys
 
-from . import analysis, bench, bmp, costmodel, modes
+from . import bmp, modes
 from .core import KEY_BITS, ROUNDS_BY_KEY_BYTES, key_expansion
 from .modes import MODES, PaddingError
 from .variants import VARIANT_IDS, make_plan
@@ -181,6 +181,13 @@ def _parse_iv(args) -> bytes | None:
     return iv
 
 
+def _parse_image(label: str, data: bytes):
+    try:
+        return bmp.parse_bmp(data)
+    except bmp.BmpError as e:
+        raise InputError(f"{label}: {e}") from e
+
+
 def _cmd_crypt(args) -> int:
     if args.rounds is not None and args.rounds < 1:
         raise UsageError(f"--rounds must be >= 1, got {args.rounds}")
@@ -204,10 +211,7 @@ def _cmd_crypt(args) -> int:
             except ValueError as e:
                 raise InputError(str(e)) from e
     else:
-        try:
-            img = bmp.parse_bmp(data)
-        except bmp.BmpError as e:
-            raise InputError(f"{args.in_path}: {e}") from e
+        img = _parse_image(args.in_path, data)
         if args.command == "encrypt":
             if args.mode == "cbc" and iv is None:
                 iv = modes.random_iv(rng)
@@ -234,22 +238,16 @@ def _cmd_make_image(args) -> int:
     return EXIT_OK
 
 
-def _analyze_one(label: str, data: bytes):
-    try:
-        img = bmp.parse_bmp(data)
-    except bmp.BmpError as e:
-        raise InputError(f"{label}: {e}") from e
-    h = analysis.histogram(img)
-    leak = analysis.duplicate_block_ratio(img.pixels)
-    return h, leak
-
-
 def _cmd_analyze(args) -> int:
+    from . import analysis
+
     inputs = [(args.in_path, _read_file(args.in_path))]
     if args.compare:
         inputs.append((args.compare, _read_file(args.compare)))
 
-    reports = [(label, *_analyze_one(label, data)) for label, data in inputs]
+    images = [(label, _parse_image(label, data)) for label, data in inputs]
+    reports = [(label, analysis.histogram(img), analysis.duplicate_block_ratio(img.pixels))
+               for label, img in images]
 
     if args.report == "csv":
         lines = [analysis.METRICS_CSV_HEADER]
@@ -297,6 +295,8 @@ def _flag(name: str) -> str:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench
+
     if args.micro:
         run = "--micro"
     elif args.sweep_rounds is not None:
@@ -350,6 +350,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    from . import costmodel
+
     try:
         if args.grid:
             rows = costmodel.cost_grid_rows(t_a=args.ta, t_o=args.to, t_s=args.ts)

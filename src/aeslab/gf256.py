@@ -6,13 +6,16 @@ x^8 + x^4 + x^3 + x + 1 (0x11B).  Field elements are plain ints in
 import time rather than hard-coded.
 
 Generation runs on exponent and logarithm tables over the generator
-{03}, filled in 255 xtime steps (x * {03} = x ^ xtime(x)).  The inverse
-of a nonzero a is exp[255 - log a], which the S-box passes through the
-affine map; product row c holds exp[log c + log x].  Both are read out
-of the log table with bytes.translate, so no per-entry multiplication
-runs.  xtime, gf_mul, gf_inverse and _affine compute the same values
-from first principles, one element at a time, and remain the reference
-the tests check the tables against.
+{03}, filled in 255 xtime steps (x * {03} = x ^ xtime(x)) once per
+import and kept as module constants.  The inverse of a nonzero a is
+exp[255 - log a]; product row c holds exp[log c + log x].  Both are
+read out of the log table with bytes.translate, so no per-entry
+multiplication runs.  The S-box applies the affine map to all 256
+inverses at once, as rotations within the bytes of one 2048-bit int,
+and its inverse is the permutation bytes.maketrans reads off it.
+xtime, gf_mul, gf_inverse and _affine compute the same values from
+first principles, one element at a time, and remain the reference the
+tests check the tables against.
 """
 
 REDUCTION_POLY = 0x11B
@@ -147,28 +150,29 @@ def _exp_log() -> tuple:
     return bytes(exp), bytes(log)
 
 
+_EXP, _LOG = _exp_log()
+
+
 def build_sbox() -> SBoxPair:
     """Build the S-box as affine(inverse(x)) and its permutation inverse."""
-    exp, log = _exp_log()
-    forward = bytearray(256)
-    inverse = bytearray(256)
-    # exp[255 - log x] for each x; the appended 0 is the inverse of 0.
-    for x, b in enumerate(log.translate(exp[255:0:-1] + b"\0")):
-        # _affine's b_i ^ b_{i+4} ^ ... ^ b_{i+7} ^ c_i: the byte
-        # rotations are shifts of b doubled to 16 bits.
-        r = b | b << 8
-        s = (b ^ r >> 4 ^ r >> 5 ^ r >> 6 ^ r >> 7 ^ AFFINE_CONSTANT) & 0xFF
-        forward[x] = s
-        inverse[s] = x
-    return SBoxPair(bytes(forward), bytes(inverse))
+    # exp[255 - log x] for each x, as one int whose bytes are the 256
+    # inverses; the appended 0 is the inverse of 0.
+    b = int.from_bytes(_LOG.translate(_EXP[255:0:-1] + b"\0"), "big")
+    ones = int.from_bytes(b"\1" * 256, "big")
+    # _affine's b_i ^ b_{i+4} ^ ... ^ b_{i+7} ^ c_i is b ^ rotl1(b) ^ ...
+    # ^ rotl4(b) ^ c, each rotation kept within its byte by the masks.
+    s = b ^ ones * AFFINE_CONSTANT
+    for k in range(1, 5):
+        s ^= b << k & ones * (0xFF << k & 0xFF) | b >> 8 - k & ones * (0xFF >> 8 - k)
+    forward = s.to_bytes(256, "big")
+    return SBoxPair(forward, bytes.maketrans(forward, bytes(range(256))))
 
 
 def build_mul_table() -> MulTable:
     """Tabulate c * x for the six fixed MixColumns/InvMixColumns coefficients."""
-    exp, log = _exp_log()
     # Row c maps x to exp[log c + log x]; the appended 0 is c * 0.
     return MulTable(tuple(
-        log.translate(exp[log[c]:log[c] + 255] + b"\0") for c in MUL_TABLE_COEFFICIENTS
+        _LOG.translate(_EXP[_LOG[c]:_LOG[c] + 255] + b"\0") for c in MUL_TABLE_COEFFICIENTS
     ))
 
 

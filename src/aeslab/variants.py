@@ -32,7 +32,6 @@ serve the transform microbenchmarks.
 """
 
 import struct
-from collections import namedtuple
 from itertools import groupby
 
 from .core import (
@@ -130,12 +129,17 @@ def build_t_tables() -> TTables:
 T_TABLES = build_t_tables()
 
 
-class Variant(namedtuple("Variant", ("fused", "tables"))):
-    """fused(i) is True when round i + 1 takes the T-table path; None
-    marks a footprint-only configuration with no round plan.  tables
-    names the lookup-table categories the variant keeps resident."""
+class Variant(ReadOnly):
+    """One row of VARIANTS, read-only like the package's other records.
+    fused(i) is True when round i + 1 takes the T-table path; None marks
+    a footprint-only configuration with no round plan.  tables names the
+    lookup-table categories the variant keeps resident."""
 
-    __slots__ = ()
+    __slots__ = ("fused", "tables")
+
+    def __init__(self, fused, tables: tuple):
+        object.__setattr__(self, "fused", fused)
+        object.__setattr__(self, "tables", tables)
 
 
 # Base: no optimized rounds.  Opt1: every other round, starting with

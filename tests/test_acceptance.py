@@ -22,7 +22,6 @@ from aeslab.bench import (
     BenchConfig,
     run_matrix,
     sweep_growth_lines,
-    variant_gain_lines,
 )
 from aeslab.bmp import BmpImage, make_test_image, parse_bmp, serialize_bmp
 from aeslab.core import decrypt_block, encrypt_block, key_expansion
@@ -179,21 +178,6 @@ def test_performance_direction():
         for variant in ("base", "optf"):
             medians = [cell[variant].median_s for _, cell in sorted(by_cell.items())]
             assert medians == sorted(medians), (variant, medians)  # more blocks, more work
-
-        # informational: all four variants at the smallest workload,
-        # printed beside the originally reported 13% / 12% / 20%
-        info = run_matrix(BenchConfig(
-            sizes=(117 * 1024,),
-            key_sizes=(128,),
-            variants=("base", "opt1", "opt2", "optf"),
-            modes=("ecb",),
-            ops=("encrypt",),
-            repetitions=3,
-            warmup=0,
-            seed=2002,
-        ))
-        for line in variant_gain_lines(info):
-            print(f"  {line}")
 
         # baseline decrypt slower than encrypt
         direction = run_matrix(BenchConfig(
