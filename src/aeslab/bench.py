@@ -219,7 +219,7 @@ def run_matrix(cfg: BenchConfig) -> list:
                     label = f"{size}B/{key_bits}k/{n_r}r/{variant}/{mode}/{op}"
                     results.append(_result(
                         label, len(padded), key_bits, n_r, variant, mode,
-                        op, samples, cfg.warmup, expand_s[n_r], pad_s,
+                        op, samples, max(cfg.warmup, 1), expand_s[n_r], pad_s,
                     ))
     return results
 
@@ -254,9 +254,11 @@ def microbench_transform(
     """Time one transform path over `iterations` state applications.
 
     variant "base" runs the plain-loop transform, "opt" its optimized
-    counterpart (unrolled, or table-driven for mix_columns).  The
-    applications are split into `repetitions` timed chunks; size_bytes
-    holds the chunk size, so throughput reads as applications/second.
+    counterpart (unrolled, or table-driven for mix_columns).  Before
+    the warm-up, its output on every state of the 64-state pool is
+    checked against the base transform.  The applications are split
+    into `repetitions` timed chunks; size_bytes holds the chunk size,
+    so throughput reads as applications/second.
     """
     if iterations < repetitions:
         raise ValueError(
@@ -280,9 +282,13 @@ def microbench_transform(
     ]
     if name == "add_round_key":
         rk = [[rng.randrange(256) for _ in range(4)] for _ in range(4)]
-        apply_fn = lambda s: fn(s, rk)
+        bind = lambda f: lambda s: f(s, rk)
     else:
-        apply_fn = fn
+        bind = lambda f: f
+    apply_fn = bind(fn)
+    apply_base = bind(base_fn)
+    if any(apply_fn(s) != apply_base(s) for s in pool):
+        raise AssertionError(f"{name}/{variant} output disagrees with baseline")
 
     chunk = iterations // repetitions
 

@@ -1,9 +1,18 @@
 """Baseline Rijndael cipher: key expansion, the four round transformations
-written as plain nested loops, and whole-block encrypt/decrypt.
+written as plain nested loops, the round loops over them, and whole-block
+encrypt/decrypt.
 
 The state is a 4x4 byte matrix indexed [row][column].  A 16-byte block
-loads column-major: byte i lands at row i % 4, column i // 4.  All
-transformations are pure functions returning a fresh state.
+loads column-major: byte i lands at row i % 4, column i // 4.
+load_state and store_state are the package's one conversion between
+block and matrix; the schedule's round-key matrices come from them too.
+All transformations are pure functions returning a fresh state.
+
+encrypt_rounds and decrypt_rounds are the baseline round loop, for any
+span of rounds: the final round (the one adding the last round key)
+skips MixColumns, and the inverse stage adding round key 0 skips
+InvMixColumns.  encrypt_block and decrypt_block run them over every
+round; the variants' block kernels run them for their baseline rounds.
 
 key_expansion runs the word loop of FIPS-197 5.2 (RotWord, SubWord,
 Rcon) on packed 32-bit words and returns a KeySchedule holding only the
@@ -89,10 +98,8 @@ class KeySchedule(ReadOnly):
         return struct.pack(f">{len(words)}I", *words)
 
     def _derive_round_keys(self) -> list:
-        # Row i of round key r holds byte i of its four column words.
-        kl = list(self._key_bytes(0, self.n_r + 1))
-        return [[kl[o:o + 16:4], kl[o + 1:o + 16:4], kl[o + 2:o + 16:4],
-                 kl[o + 3:o + 16:4]] for o in range(0, len(kl), 16)]
+        kb = self._key_bytes(0, self.n_r + 1)
+        return [load_state(kb[o:o + 16]) for o in range(0, len(kb), 16)]
 
     def _derive_dec_words(self) -> tuple:
         # FIPS-197 5.3.5: InvMixColumns of round keys 1..n_r-1, every
@@ -130,15 +137,19 @@ class KeySchedule(ReadOnly):
 
 
 def load_state(block: bytes) -> State:
-    """16-byte block -> 4x4 state, column-major."""
+    """16-byte block -> 4x4 state, column-major: row r holds bytes
+    r, r + 4, r + 8 and r + 12."""
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return [[block[r + 4 * c] for c in range(4)] for r in range(4)]
+    b = list(block)
+    return [b[0::4], b[1::4], b[2::4], b[3::4]]
 
 
 def store_state(state: State) -> bytes:
     """4x4 state -> 16-byte block, inverse of load_state."""
-    return bytes(state[i % 4][i // 4] for i in range(16))
+    r0, r1, r2, r3 = state
+    return bytes((r0[0], r1[0], r2[0], r3[0], r0[1], r1[1], r2[1], r3[1],
+                  r0[2], r1[2], r2[2], r3[2], r0[3], r1[3], r2[3], r3[3]))
 
 
 def key_expansion(key: bytes, n_r: int | None = None) -> KeySchedule:
@@ -246,33 +257,40 @@ def inv_mix_columns(state: State) -> State:
     return out
 
 
+def encrypt_rounds(state: State, rk: list, first: int, stop: int) -> State:
+    """Rounds first..stop-1 on the round-key matrices rk.  The round
+    that adds the last key of rk is the final round: no MixColumns."""
+    last = len(rk) - 1
+    for r in range(first, stop):
+        state = sub_bytes(state)
+        state = shift_rows(state)
+        if r != last:
+            state = mix_columns(state)
+        state = add_round_key(state, rk[r])
+    return state
+
+
+def decrypt_rounds(state: State, rk: list, first: int, stop: int) -> State:
+    """The inverse stages that add round keys stop-1 down to first.  The
+    stage that adds round key 0 is the last one: no InvMixColumns."""
+    for r in range(stop - 1, first - 1, -1):
+        state = inv_shift_rows(state)
+        state = inv_sub_bytes(state)
+        state = add_round_key(state, rk[r])
+        if r:
+            state = inv_mix_columns(state)
+    return state
+
+
 def encrypt_block(block: bytes, ks: KeySchedule) -> bytes:
     """Initial AddRoundKey, n_r - 1 full rounds, final round without MixColumns."""
-    s = load_state(block)
     rk = ks.round_keys
-    s = add_round_key(s, rk[0])
-    for r in range(1, ks.n_r):
-        s = sub_bytes(s)
-        s = shift_rows(s)
-        s = mix_columns(s)
-        s = add_round_key(s, rk[r])
-    s = sub_bytes(s)
-    s = shift_rows(s)
-    s = add_round_key(s, rk[ks.n_r])
-    return store_state(s)
+    s = add_round_key(load_state(block), rk[0])
+    return store_state(encrypt_rounds(s, rk, 1, ks.n_r + 1))
 
 
 def decrypt_block(block: bytes, ks: KeySchedule) -> bytes:
     """Exact inverse of encrypt_block under the same schedule."""
-    s = load_state(block)
     rk = ks.round_keys
-    s = add_round_key(s, rk[ks.n_r])
-    for r in range(ks.n_r - 1, 0, -1):
-        s = inv_shift_rows(s)
-        s = inv_sub_bytes(s)
-        s = add_round_key(s, rk[r])
-        s = inv_mix_columns(s)
-    s = inv_shift_rows(s)
-    s = inv_sub_bytes(s)
-    s = add_round_key(s, rk[0])
-    return store_state(s)
+    s = add_round_key(load_state(block), rk[ks.n_r])
+    return store_state(decrypt_rounds(s, rk, 0, ks.n_r))

@@ -14,21 +14,22 @@ rule picks its fused rounds, and its table list gives its static
 footprint.  A VariantPlan selects per round between the baseline path
 and the T-table path, yielding the Base / Opt1 / Opt2 / OptF scenarios.
 
-The block kernels keep the state as four 32-bit column words (big-endian,
-row 0 in the top byte), unpacked from and packed into the block with
-struct, and XOR the schedule's packed key words.  Each plan groups its
-middle rounds into runs of one path (VariantPlan.runs).  In a fused
-run, every round takes its 16 state bytes from one struct pack of the
-four words (byte 4c + i is row i of column c) and indexes the T-tables
-by them.  The optimized final round has no table to index: ShiftRows
-of the packed state x is the strided slice (x * 5)[::5], since byte
-4c + r of the result is byte 5(4c + r) mod 16 of x and 5 is prime to
-16, and SubBytes is one translate through the S-box; decryption takes
-stride 13 (InvShiftRows, 13 = -3 mod 16) and the inverse S-box.  The
-state becomes the baseline 4x4 matrix only for a baseline run, which
-calls the core round functions, and is packed back into words after
-it.  The per-transform functions below work on the matrix and
-serve the transform microbenchmarks.
+The block kernels pass the state between stages as the packed 16-byte
+block x, byte 4c + i holding row i of column c, and XOR the schedule's
+packed key words.  Each plan groups its middle rounds into runs of one
+path (VariantPlan.runs).  In a fused run, every round takes the 16
+bytes of x as names, indexes the T-tables by them and packs the four
+XORed column words back into x with struct.  The optimized final round
+has no table to index: ShiftRows of x is the strided slice
+(x * 5)[::5], since byte 4c + r of the result is byte 5(4c + r) mod 16
+of x and 5 is prime to 16, and SubBytes is one translate through the
+S-box; decryption takes stride 13 (InvShiftRows, 13 = -3 mod 16) and
+the inverse S-box.  A baseline run, and a baseline final round, is
+core's own round loop (encrypt_rounds / decrypt_rounds) on the 4x4
+matrix that core.load_state makes of x, stored back into x by
+core.store_state, the one conversion between block and matrix.  The
+per-transform functions below work on the matrix and serve the
+transform microbenchmarks.
 """
 
 import struct
@@ -40,14 +41,10 @@ from .core import (
     S_BOX,
     KeySchedule,
     State,
-    add_round_key,
-    inv_mix_columns,
-    inv_shift_rows,
-    inv_sub_bytes,
-    mix_columns,
-    shift_rows,
+    decrypt_rounds,
+    encrypt_rounds,
+    load_state,
     store_state,
-    sub_bytes,
 )
 from .gf256 import MUL_TABLE, SBOX_PAIR, ReadOnly
 
@@ -222,44 +219,25 @@ def table_mix_columns(state: State) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Block kernels over packed column words
+# Block kernels over the packed state
 
 _BLOCK_WORDS = struct.Struct(">4I")
-
-
-def _matrix(s0: int, s1: int, s2: int, s3: int) -> State:
-    """Four column words -> 4x4 state (byte 0 of a word is row 0)."""
-    return [
-        [s0 >> 24, s1 >> 24, s2 >> 24, s3 >> 24],
-        [s0 >> 16 & 0xFF, s1 >> 16 & 0xFF, s2 >> 16 & 0xFF, s3 >> 16 & 0xFF],
-        [s0 >> 8 & 0xFF, s1 >> 8 & 0xFF, s2 >> 8 & 0xFF, s3 >> 8 & 0xFF],
-        [s0 & 0xFF, s1 & 0xFF, s2 & 0xFF, s3 & 0xFF],
-    ]
-
-
-def _columns(state: State) -> tuple:
-    """4x4 state -> four column words, inverse of _matrix."""
-    r0, r1, r2, r3 = state
-    return (
-        r0[0] << 24 | r1[0] << 16 | r2[0] << 8 | r3[0],
-        r0[1] << 24 | r1[1] << 16 | r2[1] << 8 | r3[1],
-        r0[2] << 24 | r1[2] << 16 | r2[2] << 8 | r3[2],
-        r0[3] << 24 | r1[3] << 16 | r2[3] << 8 | r3[3],
-    )
 
 
 def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
     """Encrypt one block, choosing per round between the baseline path and
     the T-table path.  Ciphertext is bit-identical for every plan.
 
-    The rounds run as plan.runs.  A fused run takes each round's 16 state
-    bytes from one struct pack of the column words, then does
-    SubBytes + ShiftRows + MixColumns + AddRoundKey as 16 T-table
-    lookups by those bytes plus XORs.  A baseline run turns the words
-    into the 4x4 matrix, runs the core round functions and packs the
-    words back.  The final round has no MixColumns, so its optimized
-    path is ShiftRows as the strided slice (x * 5)[::5] of the packed
-    state x, then SubBytes as x.translate(S_BOX), then the key words.
+    The packed state x passes between stages as 16 bytes, byte 4c + i
+    holding row i of column c.  The rounds run as plan.runs.  A fused
+    round takes the 16 bytes of x as names, does SubBytes + ShiftRows +
+    MixColumns + AddRoundKey as 16 T-table lookups by them plus XORs,
+    and packs the four column words back into x.  A baseline run is
+    core's round loop, core.encrypt_rounds, on the state loaded from x.
+    The final round has no MixColumns, so its optimized path is
+    ShiftRows as the strided slice (x * 5)[::5], then SubBytes as
+    x.translate(S_BOX), then the key words; its baseline path is
+    core.encrypt_rounds for that one round.
     """
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
@@ -275,35 +253,21 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     t0, t1, t2, t3 = T_TABLES.enc
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
     k0, k1, k2, k3 = w[0]
-    s0 ^= k0
-    s1 ^= k1
-    s2 ^= k2
-    s3 ^= k3
+    x = pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
     for fused, first, stop in plan.runs:
         if fused:
             for k0, k1, k2, k3 in w[first:stop]:
-                (b0, b1, b2, b3, b4, b5, b6, b7,
-                 b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
-                s0 = t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15] ^ k0
-                s1 = t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3] ^ k1
-                s2 = t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7] ^ k2
-                s3 = t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11] ^ k3
+                b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x
+                x = pack(t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15] ^ k0,
+                         t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3] ^ k1,
+                         t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7] ^ k2,
+                         t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11] ^ k3)
         else:
-            s = _matrix(s0, s1, s2, s3)
-            for r in range(first, stop):
-                s = sub_bytes(s)
-                s = shift_rows(s)
-                s = mix_columns(s)
-                s = add_round_key(s, rk[r])
-            s0, s1, s2, s3 = _columns(s)
+            x = store_state(encrypt_rounds(load_state(x), rk, first, stop))
     if not flags[-1]:
-        s = _matrix(s0, s1, s2, s3)
-        s = sub_bytes(s)
-        s = shift_rows(s)
-        s = add_round_key(s, rk[n_r])
-        return store_state(s)
+        return store_state(encrypt_rounds(load_state(x), rk, n_r, n_r + 1))
     k0, k1, k2, k3 = w[n_r]
-    s0, s1, s2, s3 = _BLOCK_WORDS.unpack((pack(s0, s1, s2, s3) * 5)[::5].translate(S_BOX))
+    s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 5)[::5].translate(S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
 
 
@@ -311,16 +275,19 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     """Inverse of encrypt_block_variant for the same schedule and any plan.
 
     Decryption consumes the round flags in reverse stage order: the flag
-    for round r selects the path of the fused stage that uses round key
-    r, and the flag for round n_r selects the path of the trailing
-    InvShiftRows/InvSubBytes/AddRoundKey stage.  So plan.runs runs last
-    to first, and a fused run takes its key words last to first.  A
-    fused stage is InvShiftRows + InvSubBytes + AddRoundKey +
-    InvMixColumns as 16 lookups by the bytes of one struct pack; it adds
-    ks.dec_words[r], the InvMixColumns image of round key r, after the
-    lookups, since InvMixColumns is linear.  The optimized trailing stage
-    is InvShiftRows as the strided slice (x * 13)[::13], then
-    x.translate(INV_S_BOX), then round key 0.
+    for round r selects the path of the stage that adds round key r, and
+    the flag for round n_r selects the path of the trailing
+    InvShiftRows/InvSubBytes/AddRoundKey stage, which adds round key 0.
+    So plan.runs runs last to first, and a fused run takes its key words
+    last to first.  As in encryption, the packed state x passes between
+    stages as 16 bytes.  A fused stage is InvShiftRows + InvSubBytes +
+    AddRoundKey + InvMixColumns as 16 lookups by the bytes of x; it
+    adds ks.dec_words[r], the InvMixColumns image of round key r, after
+    the lookups, since InvMixColumns is linear.  A baseline run is
+    core.decrypt_rounds on the state loaded from x.  The optimized
+    trailing stage is InvShiftRows as the strided slice (x * 13)[::13],
+    then x.translate(INV_S_BOX), then round key 0; its baseline path is
+    core.decrypt_rounds for round key 0 alone.
     """
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
@@ -334,35 +301,21 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     d0, d1, d2, d3 = T_TABLES.dec
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
     k0, k1, k2, k3 = w[n_r]
-    s0 ^= k0
-    s1 ^= k1
-    s2 ^= k2
-    s3 ^= k3
+    x = pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
     for fused, first, stop in reversed(plan.runs):
         if fused:
             for k0, k1, k2, k3 in reversed(w[first:stop]):
-                (b0, b1, b2, b3, b4, b5, b6, b7,
-                 b8, b9, b10, b11, b12, b13, b14, b15) = pack(s0, s1, s2, s3)
-                s0 = d0[b0] ^ d1[b13] ^ d2[b10] ^ d3[b7] ^ k0
-                s1 = d0[b4] ^ d1[b1] ^ d2[b14] ^ d3[b11] ^ k1
-                s2 = d0[b8] ^ d1[b5] ^ d2[b2] ^ d3[b15] ^ k2
-                s3 = d0[b12] ^ d1[b9] ^ d2[b6] ^ d3[b3] ^ k3
+                b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x
+                x = pack(d0[b0] ^ d1[b13] ^ d2[b10] ^ d3[b7] ^ k0,
+                         d0[b4] ^ d1[b1] ^ d2[b14] ^ d3[b11] ^ k1,
+                         d0[b8] ^ d1[b5] ^ d2[b2] ^ d3[b15] ^ k2,
+                         d0[b12] ^ d1[b9] ^ d2[b6] ^ d3[b3] ^ k3)
         else:
-            s = _matrix(s0, s1, s2, s3)
-            for r in range(stop - 1, first - 1, -1):
-                s = inv_shift_rows(s)
-                s = inv_sub_bytes(s)
-                s = add_round_key(s, rk[r])
-                s = inv_mix_columns(s)
-            s0, s1, s2, s3 = _columns(s)
+            x = store_state(decrypt_rounds(load_state(x), rk, first, stop))
     if not flags[-1]:
-        s = _matrix(s0, s1, s2, s3)
-        s = inv_shift_rows(s)
-        s = inv_sub_bytes(s)
-        s = add_round_key(s, rk[0])
-        return store_state(s)
+        return store_state(decrypt_rounds(load_state(x), rk, 0, 1))
     k0, k1, k2, k3 = w[0]
-    s0, s1, s2, s3 = _BLOCK_WORDS.unpack((pack(s0, s1, s2, s3) * 13)[::13].translate(INV_S_BOX))
+    s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 13)[::13].translate(INV_S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
 
 

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from aeslab import bench
+from aeslab import bench, core
 from aeslab.bench import (
     SWEEP,
     BenchConfig,
@@ -134,6 +134,14 @@ def test_microbench_mechanics():
         microbench_transform("sub_bytes", "base", iterations=2, repetitions=3)
 
 
+def test_microbench_checks_opt_transform_before_timing(monkeypatch):
+    # A wrong optimized path is refused before any timed chunk runs.
+    monkeypatch.setitem(bench.TRANSFORM_PATHS, "sub_bytes", (core.sub_bytes, core.inv_sub_bytes))
+    with pytest.raises(AssertionError, match="sub_bytes/opt output disagrees with baseline"):
+        microbench_transform("sub_bytes", "opt", iterations=30, repetitions=3)
+    assert microbench_transform("sub_bytes", "base", iterations=30, repetitions=3).variant == "base"
+
+
 def test_optimized_paths_run_faster():
     # modest iteration counts keep this quick; comparing best-of-reps
     # filters scheduler noise, and the gaps are wide enough (no inner
@@ -234,6 +242,7 @@ def test_matrix_output_check_is_first_warmup_pass(monkeypatch, warmup):
     cfg = BenchConfig(sizes=(64,), key_sizes=(128,), variants=("base", "optf"),
                       modes=("ecb",), ops=("encrypt",), repetitions=3,
                       warmup=warmup, seed=5)
-    run_matrix(cfg)
+    results = run_matrix(cfg)
     untimed = max(warmup, 1)
     assert runs.count("base") == runs.count("optf") == untimed + 3
+    assert [r.warmup for r in results] == [untimed, untimed]
