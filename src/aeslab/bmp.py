@@ -120,6 +120,9 @@ def make_test_image(pattern: str, width: int, height: int) -> BmpImage:
     if width <= 0 or height <= 0:
         raise ValueError(f"dimensions must be positive, got {width}x{height}")
     stride = row_stride_for(width)
+    # The header stores the file size in 4 bytes; check before building pixels.
+    if HEADER_SIZE + stride * height >= 2**32:
+        raise ValueError(f"a {width}x{height} bitmap does not fit in a BMP file (4 GiB limit)")
     name = pattern.lower()
     if name == "single-object":
         name = "single-object-on-plain-background"

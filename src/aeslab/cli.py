@@ -233,7 +233,10 @@ def _cmd_make_image(args) -> int:
     for flag, value in (("--width", args.width), ("--height", args.height)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
-    img = bmp.make_test_image(args.pattern, args.width, args.height)
+    try:
+        img = bmp.make_test_image(args.pattern, args.width, args.height)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     _write_file(args.out_path, bmp.serialize_bmp(img))
     return EXIT_OK
 

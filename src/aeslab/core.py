@@ -33,10 +33,7 @@ encrypt/decrypt are safe for concurrent use.
 
 import struct
 
-from .gf256 import SBOX_PAIR, ReadOnly, gf_mul, xtime
-
-S_BOX = SBOX_PAIR.forward
-INV_S_BOX = SBOX_PAIR.inverse
+from .gf256 import INV_S_BOX, S_BOX, ReadOnly, gf_mul, xtime
 
 MIX_MATRIX = ((0x02, 0x03, 0x01, 0x01),
               (0x01, 0x02, 0x03, 0x01),

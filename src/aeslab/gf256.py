@@ -3,7 +3,9 @@
 All arithmetic is over the field defined by the reduction polynomial
 x^8 + x^4 + x^3 + x + 1 (0x11B).  Field elements are plain ints in
 0..255.  The S-boxes and the fixed-multiplicand table are generated at
-import time rather than hard-coded.
+import time rather than hard-coded.  The S-boxes are the plain bytes
+values S_BOX and INV_S_BOX; the product table is the MulTable
+MUL_TABLE, which looks up its rows by coefficient.
 
 Generation runs on exponent and logarithm tables over the generator
 {03}, filled in 255 xtime steps (x * {03} = x ^ xtime(x)) once per
@@ -82,13 +84,14 @@ def _affine(x: int) -> int:
 
 
 class ReadOnly:
-    """Base of the package's table and key-schedule records.  __init__
-    fills the slots with object.__setattr__, and a record may fill a
-    slot the same way when it derives a field on first read (as
-    KeySchedule does); any assignment or deletion through the instance
-    raises AttributeError.  A derived slot is written only with a
-    finished value, equal whichever thread derives it, so shared
-    instances may be read concurrently."""
+    """Base of the package's records with behaviour: the product table,
+    the key schedule and the round plan; plain tables are bytes and
+    tuples instead.  __init__ fills the slots with object.__setattr__,
+    and a record may fill a slot the same way when it derives a field
+    on first read (as KeySchedule does); any assignment or deletion
+    through the instance raises AttributeError.  A derived slot is
+    written only with a finished value, equal whichever thread derives
+    it, so shared instances may be read concurrently."""
 
     __slots__ = ()
 
@@ -99,25 +102,12 @@ class ReadOnly:
         raise AttributeError(f"{type(self).__name__} is read-only")
 
 
-class SBoxPair(ReadOnly):
-    """Forward and inverse substitution boxes, each 256 bytes."""
-
-    __slots__ = ("forward", "inverse")
-
-    def __init__(self, forward: bytes, inverse: bytes):
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "inverse", inverse)
-
-    @property
-    def footprint_bytes(self) -> int:
-        return len(self.forward) + len(self.inverse)
-
-
 class MulTable(ReadOnly):
     """Products of every byte with each fixed MixColumns coefficient.
 
     Six rows of 256 bytes each (1536 bytes total), ordered per
-    MUL_TABLE_COEFFICIENTS.  rows[c][x] == gf_mul(c, x).
+    MUL_TABLE_COEFFICIENTS.  table[c][x] == gf_mul(c, x); table[c]
+    raises ValueError for a coefficient with no row, such as 0x01.
     """
 
     __slots__ = ("rows",)
@@ -128,10 +118,6 @@ class MulTable(ReadOnly):
     def __getitem__(self, coefficient: int) -> bytes:
         i = MUL_TABLE_COEFFICIENTS.index(coefficient)
         return self.rows[i]
-
-    @property
-    def footprint_bytes(self) -> int:
-        return sum(len(row) for row in self.rows)
 
 
 def _exp_log() -> tuple:
@@ -153,8 +139,9 @@ def _exp_log() -> tuple:
 _EXP, _LOG = _exp_log()
 
 
-def build_sbox() -> SBoxPair:
-    """Build the S-box as affine(inverse(x)) and its permutation inverse."""
+def build_sbox() -> tuple:
+    """(forward, inverse): the S-box as affine(inverse(x)) and its
+    permutation inverse, each 256 bytes."""
     # exp[255 - log x] for each x, as one int whose bytes are the 256
     # inverses; the appended 0 is the inverse of 0.
     b = int.from_bytes(_LOG.translate(_EXP[255:0:-1] + b"\0"), "big")
@@ -165,11 +152,12 @@ def build_sbox() -> SBoxPair:
     for k in range(1, 5):
         s ^= b << k & ones * (0xFF << k & 0xFF) | b >> 8 - k & ones * (0xFF >> 8 - k)
     forward = s.to_bytes(256, "big")
-    return SBoxPair(forward, bytes.maketrans(forward, bytes(range(256))))
+    return forward, bytes.maketrans(forward, bytes(range(256)))
 
 
 def build_mul_table() -> MulTable:
-    """Tabulate c * x for the six fixed MixColumns/InvMixColumns coefficients."""
+    """Tabulate c * x for the six fixed MixColumns/InvMixColumns
+    coefficients, as a MulTable whose rows follow MUL_TABLE_COEFFICIENTS."""
     # Row c maps x to exp[log c + log x]; the appended 0 is c * 0.
     return MulTable(tuple(
         _LOG.translate(_EXP[_LOG[c]:_LOG[c] + 255] + b"\0") for c in MUL_TABLE_COEFFICIENTS
@@ -177,5 +165,5 @@ def build_mul_table() -> MulTable:
 
 
 # Shared singletons; read-only, safe for concurrent reads.
-SBOX_PAIR = build_sbox()
+S_BOX, INV_S_BOX = build_sbox()
 MUL_TABLE = build_mul_table()

@@ -9,10 +9,13 @@ Three tiers, all bit-compatible with the baseline:
   combines SubBytes, ShiftRows, and MixColumns into four lookups plus
   XORs per output column (8 KiB total for both directions).
 
-The VARIANTS table is the one registry of the ladder: each entry's
-rule picks its fused rounds, and its table list gives its static
-footprint.  A VariantPlan selects per round between the baseline path
-and the T-table path, yielding the Base / Opt1 / Opt2 / OptF scenarios.
+The T-tables are the plain tuples T_ENC and T_DEC.  The VARIANTS table
+is the one registry of the ladder: each row is a (fused, tables) tuple,
+whose rule picks the variant's fused rounds and whose table list gives
+its static footprint, which static_footprint, the one code that sizes
+the tables, reports.  A VariantPlan selects per round between the
+baseline path and the T-table path, yielding the Base / Opt1 / Opt2 /
+OptF scenarios.
 
 The block kernels pass the state between stages as the packed 16-byte
 block x, byte 4c + i holding row i of column c, and XOR the schedule's
@@ -46,26 +49,7 @@ from .core import (
     load_state,
     store_state,
 )
-from .gf256 import MUL_TABLE, SBOX_PAIR, ReadOnly
-
-
-class TTables(ReadOnly):
-    """Fused round tables: 4 encrypt + 4 decrypt tables of 256 4-byte entries.
-
-    Entries are stored as packed big-endian words; byte 0 of an entry is
-    the row-0 contribution of that table's column of the (Inv)MixColumns
-    matrix applied to the (inverse) S-box output.
-    """
-
-    __slots__ = ("enc", "dec")
-
-    def __init__(self, enc: tuple, dec: tuple):
-        object.__setattr__(self, "enc", enc)
-        object.__setattr__(self, "dec", dec)
-
-    @property
-    def footprint_bytes(self) -> int:
-        return sum(4 * len(t) for t in (*self.enc, *self.dec))
+from .gf256 import MUL_TABLE, ReadOnly
 
 
 class VariantPlan(ReadOnly):
@@ -112,50 +96,46 @@ def _rotations(lanes: tuple) -> tuple:
     return tuple(tables)
 
 
-def build_t_tables() -> TTables:
-    """Derive both table sets from the S-boxes and the MUL_TABLE rows."""
-    sbox = SBOX_PAIR.forward
-    inv_sbox = SBOX_PAIR.inverse
+def build_t_tables() -> tuple:
+    """(enc, dec): the fused round tables derived from the S-boxes and
+    the MUL_TABLE rows, four tables of 256 4-byte entries per direction.
+
+    Each entry is a big-endian word; byte 0 of an entry is the row-0
+    contribution of that table's column of the (Inv)MixColumns matrix
+    applied to the (inverse) S-box output.
+    """
     # Table 0 applies column 0 of (Inv)MixColumns to the (inverse)
     # S-box output: bytes {02}s, s, s, {03}s and {0E}t, {09}t, {0D}t, {0B}t.
-    enc = (sbox.translate(MUL_TABLE[0x02]), sbox, sbox, sbox.translate(MUL_TABLE[0x03]))
-    dec = tuple(inv_sbox.translate(MUL_TABLE[c]) for c in (0x0E, 0x09, 0x0D, 0x0B))
-    return TTables(enc=_rotations(enc), dec=_rotations(dec))
+    enc = (S_BOX.translate(MUL_TABLE[0x02]), S_BOX, S_BOX, S_BOX.translate(MUL_TABLE[0x03]))
+    dec = tuple(INV_S_BOX.translate(MUL_TABLE[c]) for c in (0x0E, 0x09, 0x0D, 0x0B))
+    return _rotations(enc), _rotations(dec)
 
 
-T_TABLES = build_t_tables()
+T_ENC, T_DEC = build_t_tables()
 
 
-class Variant(ReadOnly):
-    """One row of VARIANTS, read-only like the package's other records.
-    fused(i) is True when round i + 1 takes the T-table path; None marks
-    a footprint-only configuration with no round plan.  tables names the
-    lookup-table categories the variant keeps resident."""
-
-    __slots__ = ("fused", "tables")
-
-    def __init__(self, fused, tables: tuple):
-        object.__setattr__(self, "fused", fused)
-        object.__setattr__(self, "tables", tables)
-
-
+# Each row is (fused, tables): fused(i) is True when round i + 1 takes
+# the T-table path, and None marks a footprint-only configuration with
+# no round plan; tables names the lookup-table categories the variant
+# keeps resident.
+#
 # Base: no optimized rounds.  Opt1: every other round, starting with
 # round 1.  Opt2: period-4 pattern of two optimized then two baseline
 # rounds.  OptF: all rounds optimized.  multable: S-boxes plus the 6x256
 # product table, with MixColumns kept as a separate (table-driven) step;
 # it is reported in the footprint table only.
 VARIANTS = {
-    "base": Variant(lambda i: False, ("sbox",)),
-    "opt1": Variant(lambda i: i % 2 == 0, ("sbox", "t_tables")),
-    "opt2": Variant(lambda i: i % 4 < 2, ("sbox", "t_tables")),
-    "optf": Variant(lambda i: True, ("sbox", "t_tables")),
-    "multable": Variant(None, ("sbox", "mul_table")),
+    "base": (lambda i: False, ("sbox",)),
+    "opt1": (lambda i: i % 2 == 0, ("sbox", "t_tables")),
+    "opt2": (lambda i: i % 4 < 2, ("sbox", "t_tables")),
+    "optf": (lambda i: True, ("sbox", "t_tables")),
+    "multable": (None, ("sbox", "mul_table")),
 }
 
-VARIANT_IDS = tuple(vid for vid, v in VARIANTS.items() if v.fused is not None)
+VARIANT_IDS = tuple(vid for vid, (fused, _) in VARIANTS.items() if fused is not None)
 
 
-def _variant(variant_id: str) -> Variant:
+def _variant(variant_id: str) -> tuple:
     try:
         return VARIANTS[variant_id.lower()]
     except KeyError:
@@ -166,7 +146,7 @@ def make_plan(variant_id: str, n_r: int) -> VariantPlan:
     """The per-round plan of a runnable variant (one of VARIANT_IDS)."""
     if n_r < 1:
         raise ValueError(f"round count must be >= 1, got {n_r}")
-    fused = _variant(variant_id).fused
+    fused, _ = _variant(variant_id)
     if fused is None:
         raise ValueError(f"variant {variant_id!r} has no round plan")
     return VariantPlan(tuple(fused(i) for i in range(n_r)))
@@ -250,7 +230,7 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
-    t0, t1, t2, t3 = T_TABLES.enc
+    t0, t1, t2, t3 = T_ENC
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
     k0, k1, k2, k3 = w[0]
     x = pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
@@ -298,7 +278,7 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
-    d0, d1, d2, d3 = T_TABLES.dec
+    d0, d1, d2, d3 = T_DEC
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
     k0, k1, k2, k3 = w[n_r]
     x = pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
@@ -326,10 +306,10 @@ def static_footprint(variant_id: str) -> dict:
     table, and the fused round tables.  (Compiled code size is
     toolchain-dependent and not reported.)
     """
-    tables = _variant(variant_id).tables
+    _, tables = _variant(variant_id)
     sizes = {
-        "sbox": SBOX_PAIR.footprint_bytes,
-        "mul_table": MUL_TABLE.footprint_bytes,
-        "t_tables": T_TABLES.footprint_bytes,
+        "sbox": len(S_BOX) + len(INV_S_BOX),
+        "mul_table": sum(map(len, MUL_TABLE.rows)),
+        "t_tables": 4 * sum(map(len, T_ENC + T_DEC)),
     }
     return {name: size if name in tables else 0 for name, size in sizes.items()}

@@ -146,7 +146,7 @@ def test_cost_model_reference_values():
 def test_footprint_accounting():
     with criterion("footprint accounting"):
         assert static_footprint("optf")["t_tables"] == 8192
-        assert build_mul_table().footprint_bytes == 1536
+        assert sum(map(len, build_mul_table().rows)) == 1536
         assert static_footprint("multable")["mul_table"] == 1536
         base_total = sum(static_footprint("base").values())
         optf_total = sum(static_footprint("optf").values())

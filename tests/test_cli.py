@@ -106,6 +106,16 @@ def test_usage_and_input_errors(tmp_path, raw_file):
                    "--out", out) == EXIT_USAGE
 
 
+def test_make_image_rejects_dimensions_past_bmp_size_limit(tmp_path, capsys):
+    # 40000 x 40000 pixels need 4.8 GB, past the 4-byte file size field;
+    # refused before any pixel is built.
+    out = tmp_path / "huge.bmp"
+    assert run("make-image", "--pattern", "constant-color", "--width", "40000",
+               "--height", "40000", "--out", str(out)) == EXIT_USAGE
+    assert "4 GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_key_file(tmp_path, raw_file):
     key_file = tmp_path / "key.hex"
     key_file.write_text(KEY + "\n")

@@ -1,7 +1,8 @@
 """Every module-level function and class in the package is reached by
 the program: named in src/aeslab or perfbench/ somewhere other than its
-own definition.  Code that only the tests call is deleted instead of
-kept alive by them."""
+own definition.  Every name assigned at module level, dunders aside, is
+read by that code too.  Code and constants that only the tests use are
+deleted instead of kept alive by them."""
 
 import ast
 from collections import Counter
@@ -31,11 +32,35 @@ def _names(node) -> Counter:
     return counts
 
 
+def _reads(node) -> Counter:
+    """How often each name is read under node, as a Name or an
+    Attribute in a load."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _assigned(stmt) -> list:
+    """The names a module-level assignment statement binds."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def _parse(package: Path, perfbench: Path) -> dict:
+    return {path: ast.parse(path.read_text(), str(path))
+            for path in [*package.glob("*.py"), *perfbench.rglob("*.py")]}
+
+
 def unreached(package: Path, perfbench: Path) -> list:
     """(module, name) of each module-level def and class in package
     that no code in package or perfbench names outside its own body."""
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in [*package.glob("*.py"), *perfbench.rglob("*.py")]}
+    trees = _parse(package, perfbench)
     used = Counter()
     for tree in trees.values():
         used += _names(tree)
@@ -50,6 +75,24 @@ def unreached(package: Path, perfbench: Path) -> list:
     return found
 
 
+def unread_constants(package: Path, perfbench: Path) -> list:
+    """(module, name) of each name assigned at module level in package,
+    dunders aside, that no code in package or perfbench reads."""
+    trees = _parse(package, perfbench)
+    read = Counter()
+    for tree in trees.values():
+        read += _reads(tree)
+    return [(path.stem, name)
+            for path in sorted(package.glob("*.py"))
+            for stmt in trees[path].body
+            for name in _assigned(stmt)
+            if not (name.startswith("__") and name.endswith("__")) and not read[name]]
+
+
 def test_every_definition_is_reached():
     assert PACKAGE.is_dir() and PERFBENCH.is_dir()
     assert unreached(PACKAGE, PERFBENCH) == []
+
+
+def test_every_module_constant_is_read():
+    assert unread_constants(PACKAGE, PERFBENCH) == []
