@@ -33,19 +33,30 @@ def test_cli_import_leaves_out_subcommand_modules():
 
 
 @pytest.mark.parametrize("record,field", [
+    (S_BOX, 0),
     (MUL_TABLE, "rows"),
+    (T_ENC, 0),
     (make_plan("opt1", 10), "runs"),
     (key_expansion(bytes(16)), "enc_words"),
-], ids=["mul_table", "plan", "key_schedule"])
+    (VARIANTS["optf"], 1),
+], ids=["sbox", "mul_table", "t_tables", "plan", "key_schedule", "variant"])
 def test_shared_records_are_read_only(record, field):
-    value = getattr(record, field)
-    with pytest.raises(AttributeError):
-        setattr(record, field, value)
-    with pytest.raises(AttributeError):
-        delattr(record, field)
+    # An int field is an item of a plain immutable value (bytes or tuple).
+    if isinstance(field, int):
+        value = record[field]
+        with pytest.raises(TypeError):
+            record[field] = value
+        with pytest.raises(TypeError):
+            del record[field]
+    else:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
     with pytest.raises(AttributeError):
         record.extra = 1
-    assert getattr(record, field) is value
+    assert (record[field] if isinstance(field, int) else getattr(record, field)) is value
 
 
 def test_shared_tables_are_immutable_values():
