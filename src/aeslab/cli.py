@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_key_args(p)
         _add_io_args(p)
         p.add_argument("--mode", required=True, choices=MODES)
-        p.add_argument("--iv-hex", help="16-byte IV as hex (CBC only)")
+        p.add_argument("--iv-hex",
+                       help="16-byte IV as hex (CBC only); raw decrypt with it reads the "
+                            "whole input as ciphertext, with no IV prefix to strip")
         p.add_argument("--format", default="raw", choices=("raw", "bmp-image-mode"),
                        help="raw: PKCS#7-padded whole file (CBC output is IV||ciphertext); "
                             "bmp-image-mode: keep the BMP header, encrypt the pixel array, "

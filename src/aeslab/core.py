@@ -18,9 +18,10 @@ key_expansion runs the word loop of FIPS-197 5.2 (RotWord, SubWord,
 Rcon) on packed 32-bit words and returns a KeySchedule holding only the
 encrypt key words.  The two other key forms are derived from those words
 on first read: the round-key matrices that the baseline rounds add, and
-the equivalent inverse cipher's key words (FIPS-197 5.3.5), which come
-from one table-free InvMixColumns pass over all middle round keys held
-as a single int.  An all-fused (OptF) encrypt reads neither, and only
+the equivalent inverse cipher's key words (FIPS-197 5.3.5), whose
+middle round keys go through InvMixColumns as the fused decrypt rounds
+apply it: four lookups in gf256's T_DEC per column, by the S-box images
+of the key bytes.  An all-fused (OptF) encrypt reads neither, and only
 the variants' decrypt kernels read the second.
 
 The schedule is read-only: assigning or deleting a field raises
@@ -33,7 +34,7 @@ encrypt/decrypt are safe for concurrent use.
 
 import struct
 
-from .gf256 import INV_S_BOX, S_BOX, ReadOnly, gf_mul, xtime
+from .gf256 import INV_S_BOX, S_BOX, T_DEC, ReadOnly, gf_mul, xtime
 
 MIX_MATRIX = ((0x02, 0x03, 0x01, 0x01),
               (0x01, 0x02, 0x03, 0x01),
@@ -99,37 +100,20 @@ class KeySchedule(ReadOnly):
         return [load_state(kb[o:o + 16]) for o in range(0, len(kb), 16)]
 
     def _derive_dec_words(self) -> tuple:
-        # FIPS-197 5.3.5: InvMixColumns of round keys 1..n_r-1, every
-        # column at once on one int whose 32-bit lanes are the column
-        # words.  x2, x4 and x8 apply xtime to every byte; n9, nb, nd
-        # and ne are the byte products with 09, 0b, 0d and 0e.  Row j of
-        # INV_MIX_MATRIX is row 0 rotated right j places, so each column
-        # becomes ne ^ rotl8(nb) ^ rotl16(nd) ^ rotl24(n9), rotating
-        # within its lane.
+        # FIPS-197 5.3.5: round keys 1..n_r-1 through InvMixColumns, with
+        # the fused decrypt rounds' tables.  T_DEC[j][x] is column j of
+        # InvMixColumns times INV_S_BOX[x], so T_DEC[j][S_BOX[b]] is that
+        # column times b, and each key column is the XOR of four lookups.
         n_r = self.n_r
-        enc_words = self.enc_words
-        n = 4 * n_r - 4
-        v = int.from_bytes(self._key_bytes(1, n_r), "big")
-        lanes = int.from_bytes(b"\0\0\0\1" * n, "big")
-        ones = lanes * 0x01010101
-        low7 = ones * 0x7F
-        x2 = (v & low7) << 1 ^ (v >> 7 & ones) * 0x1B
-        x4 = (x2 & low7) << 1 ^ (x2 >> 7 & ones) * 0x1B
-        x8 = (x4 & low7) << 1 ^ (x4 >> 7 & ones) * 0x1B
-        n9 = x8 ^ v
-        nb = n9 ^ x2
-        nd = n9 ^ x4
-        ne = x8 ^ x4 ^ x2
-        inv = struct.unpack(f">{n}I", (
-            ne
-            ^ (nb << 8 & lanes * 0xFFFFFF00 | nb >> 24 & lanes * 0xFF)
-            ^ (nd << 16 & lanes * 0xFFFF0000 | nd >> 16 & lanes * 0xFFFF)
-            ^ (n9 << 24 & lanes * 0xFF000000 | n9 >> 8 & lanes * 0xFFFFFF)
-        ).to_bytes(4 * n, "big"))
+        d0, d1, d2, d3 = T_DEC
+        it = iter(self._key_bytes(1, n_r).translate(S_BOX))
         return (
-            enc_words[0],
-            *[inv[o:o + 4] for o in range(0, n, 4)],
-            enc_words[n_r],
+            self.enc_words[0],
+            *[(d0[b0] ^ d1[b1] ^ d2[b2] ^ d3[b3], d0[b4] ^ d1[b5] ^ d2[b6] ^ d3[b7],
+               d0[b8] ^ d1[b9] ^ d2[b10] ^ d3[b11], d0[b12] ^ d1[b13] ^ d2[b14] ^ d3[b15])
+              for b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15
+              in zip(*[it] * 16)],
+            self.enc_words[n_r],
         )
 
 

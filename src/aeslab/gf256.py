@@ -2,10 +2,13 @@
 
 All arithmetic is over the field defined by the reduction polynomial
 x^8 + x^4 + x^3 + x + 1 (0x11B).  Field elements are plain ints in
-0..255.  The S-boxes and the fixed-multiplicand table are generated at
-import time rather than hard-coded.  The S-boxes are the plain bytes
-values S_BOX and INV_S_BOX; the product table is the MulTable
-MUL_TABLE, which looks up its rows by coefficient.
+0..255.  The S-boxes, the fixed-multiplicand table and the fused
+round tables are generated at import time rather than hard-coded, and
+this module is the one that builds them.  The S-boxes are the plain
+bytes values S_BOX and INV_S_BOX; the product table is the MulTable
+MUL_TABLE, which looks up its rows by coefficient; the T-tables are the
+tuples T_ENC and T_DEC, four tuples of 256 big-endian words per
+direction.
 
 Generation runs on exponent and logarithm tables over the generator
 {03}, filled in 255 xtime steps (x * {03} = x ^ xtime(x)) once per
@@ -14,11 +17,14 @@ exp[255 - log a]; product row c holds exp[log c + log x].  Both are
 read out of the log table with bytes.translate, so no per-entry
 multiplication runs.  The S-box applies the affine map to all 256
 inverses at once, as rotations within the bytes of one 2048-bit int,
-and its inverse is the permutation bytes.maketrans reads off it.
+and its inverse is the permutation bytes.maketrans reads off it.  The
+T-tables take their byte lanes from the S-boxes and the product rows.
 xtime, gf_mul, gf_inverse and _affine compute the same values from
 first principles, one element at a time, and remain the reference the
 tests check the tables against.
 """
+
+import struct
 
 REDUCTION_POLY = 0x11B
 
@@ -164,6 +170,38 @@ def build_mul_table() -> MulTable:
     ))
 
 
+_TABLE_WORDS = struct.Struct(">256I")
+
+
+def _rotations(lanes: tuple) -> tuple:
+    """Four tables of 256 big-endian words from the byte lanes of table
+    0 (lanes[i][x] is byte i of entry x): table k is table 0 rotated
+    right by k bytes, so byte i of its entries is lane (i - k) mod 4."""
+    words = bytearray(4 * 256)
+    tables = []
+    for k in range(4):
+        for i in range(4):
+            words[i::4] = lanes[(i - k) % 4]
+        tables.append(_TABLE_WORDS.unpack(words))
+    return tuple(tables)
+
+
+def build_t_tables() -> tuple:
+    """(enc, dec): the fused round tables derived from the S-boxes and
+    the MUL_TABLE rows, four tables of 256 4-byte entries per direction.
+
+    Each entry is a big-endian word; byte 0 of an entry is the row-0
+    contribution of that table's column of the (Inv)MixColumns matrix
+    applied to the (inverse) S-box output.
+    """
+    # Table 0 applies column 0 of (Inv)MixColumns to the (inverse)
+    # S-box output: bytes {02}s, s, s, {03}s and {0E}t, {09}t, {0D}t, {0B}t.
+    enc = (S_BOX.translate(MUL_TABLE[0x02]), S_BOX, S_BOX, S_BOX.translate(MUL_TABLE[0x03]))
+    dec = tuple(INV_S_BOX.translate(MUL_TABLE[c]) for c in (0x0E, 0x09, 0x0D, 0x0B))
+    return _rotations(enc), _rotations(dec)
+
+
 # Shared singletons; read-only, safe for concurrent reads.
 S_BOX, INV_S_BOX = build_sbox()
 MUL_TABLE = build_mul_table()
+T_ENC, T_DEC = build_t_tables()

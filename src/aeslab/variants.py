@@ -9,7 +9,8 @@ Three tiers, all bit-compatible with the baseline:
   combines SubBytes, ShiftRows, and MixColumns into four lookups plus
   XORs per output column (8 KiB total for both directions).
 
-The T-tables are the plain tuples T_ENC and T_DEC.  The VARIANTS table
+The T-tables are the plain tuples T_ENC and T_DEC, which gf256 builds
+with the other tables and this module imports.  The VARIANTS table
 is the one registry of the ladder: each row is a (fused, tables) tuple,
 whose rule picks the variant's fused rounds and whose table list gives
 its static footprint, which static_footprint, the one code that sizes
@@ -30,9 +31,10 @@ S-box; decryption takes stride 13 (InvShiftRows, 13 = -3 mod 16) and
 the inverse S-box.  A baseline run, and a baseline final round, is
 core's own round loop (encrypt_rounds / decrypt_rounds) on the 4x4
 matrix that core.load_state makes of x, stored back into x by
-core.store_state, the one conversion between block and matrix.  The
-per-transform functions below work on the matrix and serve the
-transform microbenchmarks.
+core.store_state, the one conversion between block and matrix.  Only
+these baseline stages read the schedule's round-key matrices, so an
+all-fused (OptF) plan never derives them.  The per-transform functions
+below work on the matrix and serve the transform microbenchmarks.
 """
 
 import struct
@@ -40,8 +42,6 @@ from itertools import groupby
 
 from .core import (
     BLOCK_SIZE,
-    INV_S_BOX,
-    S_BOX,
     KeySchedule,
     State,
     decrypt_rounds,
@@ -49,7 +49,9 @@ from .core import (
     load_state,
     store_state,
 )
-from .gf256 import MUL_TABLE, ReadOnly
+from .gf256 import INV_S_BOX, MUL_TABLE, S_BOX, T_DEC, T_ENC, ReadOnly
+# Read here by the package's public names and by perfbench's table timings.
+from .gf256 import build_t_tables  # noqa: F401
 
 
 class VariantPlan(ReadOnly):
@@ -59,11 +61,9 @@ class VariantPlan(ReadOnly):
     runs groups rounds 1..n_r-1 into maximal runs that take the same
     path, as (fused, first, stop) for rounds first..stop-1 in order; the
     final round, which has no MixColumns, is not part of any run.
-    all_fused is True when every round takes the optimized path, so the
-    block kernels never read the schedule's round-key matrices.
     """
 
-    __slots__ = ("round_flags", "runs", "all_fused")
+    __slots__ = ("round_flags", "runs")
 
     def __init__(self, round_flags: tuple):
         runs, first = [], 1
@@ -73,45 +73,10 @@ class VariantPlan(ReadOnly):
             first = stop
         object.__setattr__(self, "round_flags", round_flags)
         object.__setattr__(self, "runs", tuple(runs))
-        object.__setattr__(self, "all_fused", all(round_flags))
 
     @property
     def n_r(self) -> int:
         return len(self.round_flags)
-
-
-_TABLE_WORDS = struct.Struct(">256I")
-
-
-def _rotations(lanes: tuple) -> tuple:
-    """Four tables of 256 big-endian words from the byte lanes of table
-    0 (lanes[i][x] is byte i of entry x): table k is table 0 rotated
-    right by k bytes, so byte i of its entries is lane (i - k) mod 4."""
-    words = bytearray(4 * 256)
-    tables = []
-    for k in range(4):
-        for i in range(4):
-            words[i::4] = lanes[(i - k) % 4]
-        tables.append(list(_TABLE_WORDS.unpack(words)))
-    return tuple(tables)
-
-
-def build_t_tables() -> tuple:
-    """(enc, dec): the fused round tables derived from the S-boxes and
-    the MUL_TABLE rows, four tables of 256 4-byte entries per direction.
-
-    Each entry is a big-endian word; byte 0 of an entry is the row-0
-    contribution of that table's column of the (Inv)MixColumns matrix
-    applied to the (inverse) S-box output.
-    """
-    # Table 0 applies column 0 of (Inv)MixColumns to the (inverse)
-    # S-box output: bytes {02}s, s, s, {03}s and {0E}t, {09}t, {0D}t, {0B}t.
-    enc = (S_BOX.translate(MUL_TABLE[0x02]), S_BOX, S_BOX, S_BOX.translate(MUL_TABLE[0x03]))
-    dec = tuple(INV_S_BOX.translate(MUL_TABLE[c]) for c in (0x0E, 0x09, 0x0D, 0x0B))
-    return _rotations(enc), _rotations(dec)
-
-
-T_ENC, T_DEC = build_t_tables()
 
 
 # Each row is (fused, tables): fused(i) is True when round i + 1 takes
@@ -228,7 +193,6 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     n_r = len(w) - 1
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
-    rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
     t0, t1, t2, t3 = T_ENC
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
@@ -243,9 +207,9 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
                          t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7] ^ k2,
                          t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11] ^ k3)
         else:
-            x = store_state(encrypt_rounds(load_state(x), rk, first, stop))
+            x = store_state(encrypt_rounds(load_state(x), ks.round_keys, first, stop))
     if not flags[-1]:
-        return store_state(encrypt_rounds(load_state(x), rk, n_r, n_r + 1))
+        return store_state(encrypt_rounds(load_state(x), ks.round_keys, n_r, n_r + 1))
     k0, k1, k2, k3 = w[n_r]
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 5)[::5].translate(S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
@@ -276,7 +240,6 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     n_r = len(w) - 1
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
-    rk = None if plan.all_fused else ks.round_keys
     pack = _BLOCK_WORDS.pack
     d0, d1, d2, d3 = T_DEC
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack(block)
@@ -291,9 +254,9 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
                          d0[b8] ^ d1[b5] ^ d2[b2] ^ d3[b15] ^ k2,
                          d0[b12] ^ d1[b9] ^ d2[b6] ^ d3[b3] ^ k3)
         else:
-            x = store_state(decrypt_rounds(load_state(x), rk, first, stop))
+            x = store_state(decrypt_rounds(load_state(x), ks.round_keys, first, stop))
     if not flags[-1]:
-        return store_state(decrypt_rounds(load_state(x), rk, 0, 1))
+        return store_state(decrypt_rounds(load_state(x), ks.round_keys, 0, 1))
     k0, k1, k2, k3 = w[0]
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 13)[::13].translate(INV_S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)

@@ -235,7 +235,7 @@ def test_matrix_output_check_is_first_warmup_pass(monkeypatch, warmup):
     encrypt = bench.encrypt_with_residual
 
     def counting(data, ks, mode, plan, iv):
-        runs.append("optf" if plan.all_fused else "base")
+        runs.append("optf" if all(plan.round_flags) else "base")
         return encrypt(data, ks, mode, plan, iv)
 
     monkeypatch.setattr(bench, "encrypt_with_residual", counting)

@@ -21,6 +21,7 @@ from aeslab.core import (
     store_state,
     sub_bytes,
 )
+from aeslab.modes import cbc_decrypt, ecb_encrypt
 from aeslab.variants import decrypt_block_variant, encrypt_block_variant, make_plan
 
 from reference import (
@@ -208,6 +209,27 @@ def test_optf_on_fresh_schedules_round_trips(key_hex, ct_hex):
     ct = encrypt_block_variant(KAT_PLAINTEXT, key_expansion(key), plan)
     assert ct.hex() == ct_hex
     assert decrypt_block_variant(ct, key_expansion(key), plan) == KAT_PLAINTEXT
+
+
+def test_only_baseline_stages_derive_round_key_matrices():
+    # An empty slot raises AttributeError from its descriptor, without
+    # the schedule's derive-on-first-read hook.
+    def derived(ks):
+        try:
+            KeySchedule.round_keys.__get__(ks)
+        except AttributeError:
+            return False
+        return True
+
+    key = bytes(range(16))
+    data = bytes(range(64))
+    ks = key_expansion(key)
+    plan = make_plan("optf", ks.n_r)
+    ecb_encrypt(data, ks, plan)
+    cbc_decrypt(data, ks, bytes(16), plan)
+    assert not derived(ks)
+    encrypt_block_variant(data[:16], ks, make_plan("opt1", ks.n_r))
+    assert derived(ks)
 
 
 def test_key_expansion_rejects_zero_rounds():

@@ -62,5 +62,9 @@ def test_shared_records_are_read_only(record, field):
 def test_shared_tables_are_immutable_values():
     assert type(S_BOX) is bytes and type(INV_S_BOX) is bytes
     assert type(T_ENC) is tuple and type(T_DEC) is tuple
+    for table in T_ENC + T_DEC:
+        assert type(table) is tuple
+        with pytest.raises(TypeError):
+            table[0] = 0
     for row in VARIANTS.values():
         assert type(row) is tuple

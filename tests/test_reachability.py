@@ -5,8 +5,11 @@ read by that code too.  Code and constants that only the tests use are
 deleted instead of kept alive by them."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
+
+from aeslab import variants
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "aeslab"
@@ -96,3 +99,23 @@ def test_every_definition_is_reached():
 
 def test_every_module_constant_is_read():
     assert unread_constants(PACKAGE, PERFBENCH) == []
+
+
+def test_names_perfbench_reads_resolve():
+    # perfbench looks these up by name: the span boundaries on every
+    # traced run, and the table builders that --trace 1 times, which
+    # run.py reads as attributes of gf256 and variants.
+    spans = ast.parse((PERFBENCH / "spans.py").read_text())
+    boundaries = next(ast.literal_eval(stmt.value) for stmt in spans.body
+                      if "BOUNDARIES" in _assigned(stmt))
+    for module, attr, _ in boundaries:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    run = ast.parse((PERFBENCH / "run.py").read_text())
+    builders = {(n.value.id, n.attr) for n in ast.walk(run)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in ("gf256", "variants")}
+    assert builders == {("gf256", "build_sbox"), ("gf256", "build_mul_table"),
+                        ("variants", "build_t_tables")}
+    for module, attr in builders:
+        assert callable(getattr(importlib.import_module(f"aeslab.{module}"), attr)), (module, attr)
+    assert variants.build_t_tables() == (variants.T_ENC, variants.T_DEC)
