@@ -19,9 +19,9 @@ multiplication runs.  The S-box applies the affine map to all 256
 inverses at once, as rotations within the bytes of one 2048-bit int,
 and its inverse is the permutation bytes.maketrans reads off it.  The
 T-tables take their byte lanes from the S-boxes and the product rows.
-xtime, gf_mul, gf_inverse and _affine compute the same values from
-first principles, one element at a time, and remain the reference the
-tests check the tables against.
+xtime, gf_mul and gf_inverse compute the same field values from first
+principles, one element at a time, and remain the reference the tests
+check the product rows against.
 """
 
 import struct
@@ -71,22 +71,6 @@ def gf_inverse(a: int) -> int:
         base = gf_mul(base, base)
         e >>= 1
     return result
-
-
-def _affine(x: int) -> int:
-    # b'_i = b_i + b_{i+4} + b_{i+5} + b_{i+6} + b_{i+7} + c_i (indices mod 8)
-    out = 0
-    for i in range(8):
-        bit = (
-            (x >> i)
-            ^ (x >> ((i + 4) % 8))
-            ^ (x >> ((i + 5) % 8))
-            ^ (x >> ((i + 6) % 8))
-            ^ (x >> ((i + 7) % 8))
-            ^ (AFFINE_CONSTANT >> i)
-        ) & 1
-        out |= bit << i
-    return out
 
 
 class ReadOnly:
@@ -152,8 +136,8 @@ def build_sbox() -> tuple:
     # inverses; the appended 0 is the inverse of 0.
     b = int.from_bytes(_LOG.translate(_EXP[255:0:-1] + b"\0"), "big")
     ones = int.from_bytes(b"\1" * 256, "big")
-    # _affine's b_i ^ b_{i+4} ^ ... ^ b_{i+7} ^ c_i is b ^ rotl1(b) ^ ...
-    # ^ rotl4(b) ^ c, each rotation kept within its byte by the masks.
+    # b'_i = b_i ^ b_{i+4} ^ ... ^ b_{i+7} ^ c_i (indices mod 8) is b ^
+    # rotl1(b) ^ ... ^ rotl4(b) ^ c, each rotation kept within its byte.
     s = b ^ ones * AFFINE_CONSTANT
     for k in range(1, 5):
         s ^= b << k & ones * (0xFF << k & 0xFF) | b >> 8 - k & ones * (0xFF >> 8 - k)

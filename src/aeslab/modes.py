@@ -9,6 +9,12 @@ CBC encryption chains each block before encrypting it, so it runs block
 by block.  CBC decryption does not: with D the block decryption applied
 to every block of the ciphertext C, the plaintext is
 D(C) xor (IV || C[:-16]), one XOR over the whole message.
+
+Each mode loop appends its blocks to one bytearray, so transient memory
+is about 2x the message (4-5x for CBC decryption's whole-message XOR
+on ints), where a list of blocks joined at the end peaks near 10x.
+Slice stores into a preallocated buffer would use less memory but
+about twice the per-block loop overhead of an append.
 """
 
 import os
@@ -50,23 +56,28 @@ def _require_aligned(data: bytes) -> None:
         )
 
 
-# The loops below look the block functions up in this module's globals
-# once per call, so a wrapper set on this module (a tracer) sees every
-# block.
+# The modes look the block functions up in this module's globals once
+# per call, so a wrapper set on this module (a tracer) sees every block.
+
+
+def _each_block(fn, data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytearray:
+    """fn applied to every block of data, appended to one buffer."""
+    out = bytearray()
+    for i in range(0, len(data), 16):
+        out += fn(data[i:i + 16], ks, plan)
+    return out
 
 
 def ecb_encrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
     """Each block encrypted independently; equal plaintext blocks give
     equal ciphertext blocks."""
     _require_aligned(data)
-    enc = encrypt_block_variant
-    return b"".join([enc(data[i:i + 16], ks, plan) for i in range(0, len(data), 16)])
+    return bytes(_each_block(encrypt_block_variant, data, ks, plan))
 
 
 def ecb_decrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
     _require_aligned(data)
-    dec = decrypt_block_variant
-    return b"".join([dec(data[i:i + 16], ks, plan) for i in range(0, len(data), 16)])
+    return bytes(_each_block(decrypt_block_variant, data, ks, plan))
 
 
 def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
@@ -75,12 +86,12 @@ def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
     if len(iv) != BLOCK_SIZE:
         raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
     enc = encrypt_block_variant
-    out = []
+    out = bytearray()
     prev = iv
     for i in range(0, len(data), 16):
         prev = enc(_xor_block(data[i:i + 16], prev), ks, plan)
-        out.append(prev)
-    return b"".join(out)
+        out += prev
+    return bytes(out)
 
 
 def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
@@ -88,11 +99,11 @@ def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
     _require_aligned(data)
     if len(iv) != BLOCK_SIZE:
         raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    dec = decrypt_block_variant
     n = len(data)
-    out = b"".join([dec(data[i:i + 16], ks, plan) for i in range(0, n, 16)])
-    chain = (iv + data)[:n]
-    return (int.from_bytes(out, "big") ^ int.from_bytes(chain, "big")).to_bytes(n, "big")
+    out = _each_block(decrypt_block_variant, data, ks, plan)
+    # IV || C[:-16] as one int: IV above C, shifted down one block.
+    chain = (int.from_bytes(iv, "big") << 8 * n | int.from_bytes(data, "big")) >> 128
+    return (int.from_bytes(out, "big") ^ chain).to_bytes(n, "big")
 
 
 def random_iv(rng: "random.Random | None" = None) -> bytes:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -341,6 +342,43 @@ def test_wrappers_enforce_mode_rules(ks):
         encrypt_with_residual(bytes(32), ks, "ctr", BASE)
     with pytest.raises(ValueError, match="unknown mode 'ctr'"):
         decrypt_with_residual(bytes(32), ks, "ctr", BASE)
+
+
+# ---------------------------------------------------------------------------
+# Memory and return type: each mode loop appends its blocks to one buffer
+
+def test_mode_loops_peak_memory_and_return_bytes(ks):
+    # One appended buffer plus its bytes copy is about 2x the data, and
+    # CBC decrypt's whole-message XOR adds its int operands; per-block
+    # bytes objects would cost about 49 B of every 16.
+    rng = random.Random(49)
+    data = rng.randbytes(16 * 4096)
+    iv = rng.randbytes(16)
+    plan = make_plan("optf", ks.n_r)
+    runs = (
+        (ecb_encrypt, (plan,), 2.5),
+        (ecb_decrypt, (plan,), 2.5),
+        (cbc_encrypt, (iv, plan), 2.5),
+        (cbc_decrypt, (iv, plan), 5),
+    )
+    for fn, rest, bound in runs:
+        fn(data[:16], ks, *rest)  # derive the schedule's fields first
+        tracemalloc.start()
+        try:
+            out = fn(data, ks, *rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(out) is bytes and len(out) == len(data)
+        assert peak <= bound * len(data), (fn.__name__, peak / len(data))
+        assert type(fn(b"", ks, *rest)) is bytes
+    for data in (b"", bytes(40)):
+        for mode, mode_iv in (("ecb", None), ("cbc", iv)):
+            blob = encrypt_blob(data, ks, mode, plan, mode_iv)
+            out = encrypt_with_residual(data, ks, mode, plan, mode_iv)
+            assert type(blob) is bytes and type(out) is bytes
+            assert type(decrypt_blob(blob, ks, mode, plan)) is bytes
+            assert type(decrypt_with_residual(out, ks, mode, plan, mode_iv)) is bytes
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "aeslab"
 PERFBENCH = ROOT / "perfbench"
 
-# The element-wise reference that the S-box tests compare against.
-EXEMPT = {("gf256", "_affine")}
-
 
 def _names(node) -> Counter:
     """How often each name appears under node as a Name, an Attribute
@@ -73,7 +70,7 @@ def unreached(package: Path, perfbench: Path) -> list:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             own = _names(node)[node.name]
-            if used[node.name] == own and (path.stem, node.name) not in EXEMPT:
+            if used[node.name] == own:
                 found.append((path.stem, node.name))
     return found
 
