@@ -7,7 +7,7 @@ statistics for the ECB-leakage demonstrations.
 """
 
 from .core import KeySchedule, decrypt_block, encrypt_block, key_expansion
-from .gf256 import build_mul_table, build_sbox, gf_inverse, gf_mul, xtime
+from .gf256 import build_mul_table, build_sbox, gf_mul, xtime
 from .modes import (
     cbc_decrypt,
     cbc_encrypt,
@@ -25,7 +25,6 @@ from .variants import (
     decrypt_block_variant,
     encrypt_block_variant,
     make_plan,
-    static_footprint,
 )
 
 __version__ = "0.1.0"
@@ -46,13 +45,11 @@ __all__ = [
     "encrypt_blob",
     "encrypt_block",
     "encrypt_block_variant",
-    "gf_inverse",
     "gf_mul",
     "key_expansion",
     "make_plan",
     "pkcs7_pad",
     "pkcs7_unpad",
     "random_iv",
-    "static_footprint",
     "xtime",
 ]

@@ -7,6 +7,7 @@ package's own code paths; reports juxtapose its predictions with
 measured timings for qualitative comparison only.
 """
 
+import math
 from dataclasses import dataclass
 
 from .core import ROUNDS_BY_KEY_BYTES
@@ -27,8 +28,8 @@ class CostParams:
             raise ValueError(f"n_b must be >= 1, got {self.n_b}")
         if self.n_r < 1:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
-        if min(self.t_a, self.t_o, self.t_s) < 0:
-            raise ValueError("unit costs must be nonnegative")
+        if not all(0 <= t < math.inf for t in (self.t_a, self.t_o, self.t_s)):
+            raise ValueError("unit costs must be finite and nonnegative")
 
 
 def encrypt_cycle_coefficients(n_b: int, n_r: int) -> tuple:

@@ -19,9 +19,9 @@ multiplication runs.  The S-box applies the affine map to all 256
 inverses at once, as rotations within the bytes of one 2048-bit int,
 and its inverse is the permutation bytes.maketrans reads off it.  The
 T-tables take their byte lanes from the S-boxes and the product rows.
-xtime, gf_mul and gf_inverse compute the same field values from first
-principles, one element at a time, and remain the reference the tests
-check the product rows against.
+xtime and gf_mul compute the same products from first principles, one
+element at a time, and remain the reference the tests check the product
+rows against.
 """
 
 import struct
@@ -55,22 +55,6 @@ def gf_mul(a: int, b: int) -> int:
             a ^= REDUCTION_POLY
         b >>= 1
     return p
-
-
-def gf_inverse(a: int) -> int:
-    """Multiplicative inverse, with 0 mapped to 0 (Rijndael convention)."""
-    if a == 0:
-        return 0
-    # a^254 = a^-1 in GF(2^8), by Fermat's little theorem for fields.
-    result = 1
-    base = a
-    e = 254
-    while e:
-        if e & 1:
-            result = gf_mul(result, base)
-        base = gf_mul(base, base)
-        e >>= 1
-    return result
 
 
 class ReadOnly:

@@ -11,10 +11,9 @@ Three tiers, all bit-compatible with the baseline:
 
 The T-tables are the plain tuples T_ENC and T_DEC, which gf256 builds
 with the other tables and this module imports.  The VARIANTS table
-is the one registry of the ladder: each row is a (fused, tables) tuple,
-whose rule picks the variant's fused rounds and whose table list gives
-its static footprint, which static_footprint, the one code that sizes
-the tables, reports.  A VariantPlan selects per round between the
+is the one registry of the ladder: each row is a variant's round
+pattern, a tuple of flags that repeats over the rounds.  make_plan
+expands it into a VariantPlan, which selects per round between the
 baseline path and the T-table path, yielding the Base / Opt1 / Opt2 /
 OptF scenarios.
 
@@ -79,42 +78,31 @@ class VariantPlan(ReadOnly):
         return len(self.round_flags)
 
 
-# Each row is (fused, tables): fused(i) is True when round i + 1 takes
-# the T-table path, and None marks a footprint-only configuration with
-# no round plan; tables names the lookup-table categories the variant
-# keeps resident.
+# Each row is a round pattern: round i + 1 takes the T-table path when
+# pattern[i % len(pattern)] is True.
 #
 # Base: no optimized rounds.  Opt1: every other round, starting with
 # round 1.  Opt2: period-4 pattern of two optimized then two baseline
-# rounds.  OptF: all rounds optimized.  multable: S-boxes plus the 6x256
-# product table, with MixColumns kept as a separate (table-driven) step;
-# it is reported in the footprint table only.
+# rounds.  OptF: all rounds optimized.
 VARIANTS = {
-    "base": (lambda i: False, ("sbox",)),
-    "opt1": (lambda i: i % 2 == 0, ("sbox", "t_tables")),
-    "opt2": (lambda i: i % 4 < 2, ("sbox", "t_tables")),
-    "optf": (lambda i: True, ("sbox", "t_tables")),
-    "multable": (None, ("sbox", "mul_table")),
+    "base": (False,),
+    "opt1": (True, False),
+    "opt2": (True, True, False, False),
+    "optf": (True,),
 }
 
-VARIANT_IDS = tuple(vid for vid, (fused, _) in VARIANTS.items() if fused is not None)
-
-
-def _variant(variant_id: str) -> tuple:
-    try:
-        return VARIANTS[variant_id.lower()]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant_id!r}") from None
+VARIANT_IDS = tuple(VARIANTS)
 
 
 def make_plan(variant_id: str, n_r: int) -> VariantPlan:
-    """The per-round plan of a runnable variant (one of VARIANT_IDS)."""
+    """The per-round plan of a variant (one of VARIANT_IDS)."""
     if n_r < 1:
         raise ValueError(f"round count must be >= 1, got {n_r}")
-    fused, _ = _variant(variant_id)
-    if fused is None:
-        raise ValueError(f"variant {variant_id!r} has no round plan")
-    return VariantPlan(tuple(fused(i) for i in range(n_r)))
+    try:
+        pattern = VARIANTS[variant_id.lower()]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant_id!r}") from None
+    return VariantPlan(tuple(pattern[i % len(pattern)] for i in range(n_r)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +249,3 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 13)[::13].translate(INV_S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
 
-
-def static_footprint(variant_id: str) -> dict:
-    """Bytes of static lookup tables resident for a variant.
-
-    Reported per table category: the two S-boxes, the 6x256 product
-    table, and the fused round tables.  (Compiled code size is
-    toolchain-dependent and not reported.)
-    """
-    _, tables = _variant(variant_id)
-    sizes = {
-        "sbox": len(S_BOX) + len(INV_S_BOX),
-        "mul_table": sum(map(len, MUL_TABLE.rows)),
-        "t_tables": 4 * sum(map(len, T_ENC + T_DEC)),
-    }
-    return {name: size if name in tables else 0 for name, size in sizes.items()}

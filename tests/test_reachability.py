@@ -2,7 +2,8 @@
 the program: named in src/aeslab or perfbench/ somewhere other than its
 own definition.  Every name assigned at module level, dunders aside, is
 read by that code too.  Code and constants that only the tests use are
-deleted instead of kept alive by them."""
+deleted instead of kept alive by them.  The package's __init__ does not
+count as a use: its re-exports name code without running it."""
 
 import ast
 import importlib
@@ -57,12 +58,18 @@ def _parse(package: Path, perfbench: Path) -> dict:
             for path in [*package.glob("*.py"), *perfbench.rglob("*.py")]}
 
 
+def _users(trees: dict, package: Path) -> list:
+    """The trees whose names count as uses: all but package's __init__."""
+    return [tree for path, tree in trees.items() if path != package / "__init__.py"]
+
+
 def unreached(package: Path, perfbench: Path) -> list:
     """(module, name) of each module-level def and class in package
-    that no code in package or perfbench names outside its own body."""
+    that no code in package, __init__ aside, or perfbench names outside
+    its own body."""
     trees = _parse(package, perfbench)
     used = Counter()
-    for tree in trees.values():
+    for tree in _users(trees, package):
         used += _names(tree)
     found = []
     for path in sorted(package.glob("*.py")):
@@ -77,10 +84,11 @@ def unreached(package: Path, perfbench: Path) -> list:
 
 def unread_constants(package: Path, perfbench: Path) -> list:
     """(module, name) of each name assigned at module level in package,
-    dunders aside, that no code in package or perfbench reads."""
+    dunders aside, that no code in package, __init__ aside, or perfbench
+    reads."""
     trees = _parse(package, perfbench)
     read = Counter()
-    for tree in trees.values():
+    for tree in _users(trees, package):
         read += _reads(tree)
     return [(path.stem, name)
             for path in sorted(package.glob("*.py"))

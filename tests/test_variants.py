@@ -16,8 +16,10 @@ from aeslab.core import (
     store_state,
     sub_bytes,
 )
+from aeslab.gf256 import INV_S_BOX, S_BOX
 from aeslab.modes import decrypt_blob, encrypt_blob, pkcs7_pad
 from aeslab.variants import (
+    T_DEC,
     T_ENC,
     VARIANT_IDS,
     VariantPlan,
@@ -25,7 +27,6 @@ from aeslab.variants import (
     decrypt_block_variant,
     encrypt_block_variant,
     make_plan,
-    static_footprint,
     table_mix_columns,
     unrolled_add_round_key,
     unrolled_shift_rows,
@@ -168,7 +169,7 @@ def test_make_plan_opt2_period_four():
 def test_make_plan_rejects_bad_input():
     with pytest.raises(ValueError):
         make_plan("turbo", 10)
-    with pytest.raises(ValueError, match="no round plan"):
+    with pytest.raises(ValueError, match="unknown variant 'multable'"):
         make_plan("multable", 10)
     with pytest.raises(ValueError):
         make_plan("base", 0)
@@ -296,20 +297,8 @@ def test_wrong_block_length_rejected(length):
 # ---------------------------------------------------------------------------
 # Footprint accounting
 
-def test_static_footprint_per_variant():
-    assert static_footprint("base") == {"sbox": 512, "mul_table": 0, "t_tables": 0}
-    for vid in ("opt1", "opt2", "optf"):
-        assert static_footprint(vid) == {"sbox": 512, "mul_table": 0, "t_tables": 8192}
-    assert static_footprint("multable") == {"sbox": 512, "mul_table": 1536, "t_tables": 0}
-
-
 def test_optf_footprint_at_least_double_base():
-    base_total = sum(static_footprint("base").values())
-    optf_total = sum(static_footprint("optf").values())
-    assert optf_total > base_total
+    # Base keeps the two S-boxes resident; OptF adds the T-tables.
+    base_total = len(S_BOX) + len(INV_S_BOX)
+    optf_total = base_total + 4 * sum(map(len, T_ENC + T_DEC))
     assert optf_total >= 2 * base_total
-
-
-def test_static_footprint_rejects_unknown():
-    with pytest.raises(ValueError):
-        static_footprint("opt9")
