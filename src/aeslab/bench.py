@@ -1,14 +1,15 @@
 """Benchmark harness.
 
 Reproduces the encryption-time-vs-payload-size experiment across key
-sizes, optimization variants, and modes; a round-count sweep; and
-per-transform microbenchmarks.  Every measurement is process CPU time
-(time.process_time), not wall-clock time: on a shared machine the wall
-clock also counts time spent running other processes, which reaches
-the timings as noise.  Absolute timings are machine-specific, so
-assertions elsewhere target relative orderings only; measured
-percentages are printed beside the originally reported bands for
-qualitative comparison.
+sizes, optimization variants, and modes, and per-transform
+microbenchmarks.  The round-count growth experiment is the matrix over
+several round counts, summarized by sweep_growth_lines.  Every
+measurement is process CPU time (time.process_time), not wall-clock
+time: on a shared machine the wall clock also counts time spent running
+other processes, which reaches the timings as noise.  Absolute timings
+are machine-specific, so assertions elsewhere target relative orderings
+only; measured percentages are printed beside the originally reported
+bands for qualitative comparison.
 
 Every benchmarked variant's output is verified against the baseline
 before its timing loop starts, so a fast-but-wrong path cannot produce
@@ -67,6 +68,11 @@ class BenchConfig:
         for n_r in self.rounds or ():
             if n_r < 1:
                 raise ValueError(f"round count must be >= 1, got {n_r}")
+        for name in ("sizes", "key_sizes", "variants", "modes", "ops", "rounds"):
+            values = getattr(self, name) or ()
+            for v in values:
+                if values.count(v) > 1:
+                    raise ValueError(f"{name} lists {v!r} more than once")
         for what, values, allowed in (
             ("key size", self.key_sizes, KEY_BITS),
             ("variant", self.variants, VARIANT_IDS),
@@ -222,18 +228,6 @@ def run_matrix(cfg: BenchConfig) -> list:
                         op, samples, max(cfg.warmup, 1), expand_s[n_r], pad_s,
                     ))
     return results
-
-
-# The round-count growth experiment: the matrix cells it times.  A
-# sweep with other fields runs run_matrix(BenchConfig(**{**SWEEP, ...})).
-SWEEP = {
-    "sizes": (32 * 1024,),
-    "key_sizes": (128,),
-    "variants": ("base",),
-    "modes": ("ecb",),
-    "ops": OPS,
-    "rounds": (2, 4, 6, 8, 10),
-}
 
 
 TRANSFORM_PATHS = {

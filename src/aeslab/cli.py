@@ -6,6 +6,11 @@ range), 3 input error (missing or malformed files, keys or IVs), 4
 integrity error (padding check failed on decryption).  Every
 subcommand is scriptable: no prompts, and all randomness is seedable
 via --seed.
+
+bench has two kinds of run: the timing matrix, which is a round sweep
+when --rounds lists several counts, and --micro [ITERS], the
+per-transform microbenchmarks, which refuses the options that shape
+the matrix.  cost --grid likewise refuses --nb and --nr.
 """
 
 import argparse
@@ -86,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timing experiments")
     p.add_argument("--sizes", default=None,
                    help="comma-separated payload sizes in bytes "
-                        "(default: the three bitmap workload sizes; 32768 for --sweep-rounds)")
+                        "(default: the three bitmap workload sizes)")
     p.add_argument("--key-sizes",
                    help=f"matrix key sizes in bits (default: {','.join(map(str, KEY_BITS))})")
     p.add_argument("--variants", help=f"matrix variants (default: {','.join(VARIANT_IDS)})")
@@ -98,25 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
                         "being the first (default: 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", default=None,
-                   help="comma-separated matrix round counts "
-                        "(default: standard for each key size)")
-    p.add_argument("--sweep-rounds", default=None,
-                   help="run a round-count sweep instead of the matrix, e.g. 2,4,6,8,10")
-    p.add_argument("--micro", action="store_true",
-                   help="run per-transform microbenchmarks instead of the matrix")
-    p.add_argument("--micro-iters", type=int, default=None,
-                   help="transform applications per --micro cell (default: 1000000)")
+                   help="comma-separated matrix round counts, e.g. 2,4,6,8,10 for a "
+                        "round sweep (default: standard for each key size)")
+    p.add_argument("--micro", nargs="?", type=int, const=1_000_000, default=None,
+                   metavar="ITERS",
+                   help="run per-transform microbenchmarks instead of the matrix, "
+                        "ITERS transform applications per cell (default: 1000000)")
     p.add_argument("--report", default="csv", choices=("csv", "text"))
     p.add_argument("--out", dest="out_path", help="write report here (default stdout)")
 
     p = sub.add_parser("cost", help="analytic operation-cost model")
-    p.add_argument("--nb", type=int, default=4)
-    p.add_argument("--nr", type=int, default=10)
+    p.add_argument("--nb", type=int, default=None, help="block length N_b (default: 4)")
+    p.add_argument("--nr", type=int, default=None, help="round count N_r (default: 10)")
     p.add_argument("--ta", type=float, default=1.0)
     p.add_argument("--to", type=float, default=1.0)
     p.add_argument("--ts", type=float, default=1.0)
     p.add_argument("--grid", action="store_true",
-                   help="emit a CSV grid over (n_b, n_r, key size)")
+                   help="emit a CSV grid over (n_b, n_r, key size) instead of one "
+                        "(--nb, --nr) point")
     p.add_argument("--out", dest="out_path", help="write output here (default stdout)")
 
     return parser
@@ -157,11 +161,11 @@ def _parse_hex(text: str, what: str) -> bytes:
 
 
 def _load_key(args) -> bytes:
-    if args.key_hex and args.key_file:
+    if args.key_hex is not None and args.key_file is not None:
         raise UsageError("give --key-hex or --key-file, not both")
-    if args.key_hex:
+    if args.key_hex is not None:
         key = _parse_hex(args.key_hex, "--key-hex")
-    elif args.key_file:
+    elif args.key_file is not None:
         key = _parse_hex(_read_file(args.key_file).decode("ascii", "replace"), "key file")
     else:
         raise UsageError("a key is required (--key-hex or --key-file)")
@@ -282,19 +286,6 @@ def _split_ints(text: str, what: str) -> tuple:
     return values
 
 
-# The options each kind of bench run takes besides --reps, --seed,
-# --report and --out, as argparse dest -> keyword of the BenchConfig or
-# microbench_all call that runs it.  A run given an option of another
-# kind refuses it.
-_RUN_OPTIONS = {
-    "--micro": {"micro_iters": "iterations"},
-    "--sweep-rounds": {"sizes": "sizes", "warmup": "warmup", "sweep_rounds": "rounds"},
-    "the matrix run": {name: name for name in (
-        "sizes", "warmup", "key_sizes", "variants", "modes", "ops", "rounds")},
-}
-_BENCH_OPTIONS = dict.fromkeys(name for takes in _RUN_OPTIONS.values() for name in takes)
-
-
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -302,50 +293,36 @@ def _flag(name: str) -> str:
 def _cmd_bench(args) -> int:
     from . import bench
 
-    if args.micro:
-        run = "--micro"
-    elif args.sweep_rounds is not None:
-        run = "--sweep-rounds"
-    else:
-        run = "the matrix run"
-    takes = _RUN_OPTIONS[run]
-    given = {name: getattr(args, name) for name in _BENCH_OPTIONS
-             if getattr(args, name) is not None}
-    refused = [_flag(name) for name in given if name not in takes]
-    if refused:
-        raise UsageError(f"{run} takes no {', '.join(refused)}")
+    # The options that shape the matrix; --micro refuses them.
+    names = ("sizes", "warmup", "key_sizes", "variants", "modes", "ops", "rounds")
+    matrix = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if args.micro is not None and matrix:
+        raise UsageError(f"--micro takes no {', '.join(map(_flag, matrix))}")
     # BenchConfig and microbench_transform check these too, but name
     # their parameters, not the flags.
     if args.reps < 3:
         raise UsageError(f"--reps must be >= 3, got {args.reps}")
     if args.warmup is not None and args.warmup < 0:
         raise UsageError(f"--warmup must be >= 0, got {args.warmup}")
-    if args.micro_iters is not None and args.micro_iters < args.reps:
-        raise UsageError(f"--micro-iters must be >= --reps, got {args.micro_iters} < {args.reps}")
-    # Options left out keep the defaults of the sweep preset or of the
-    # call that runs them.
-    kwargs = {}
-    for name, value in given.items():
-        if name in ("sizes", "key_sizes", "sweep_rounds", "rounds"):
-            value = _split_ints(value, _flag(name))
-        elif name in ("variants", "modes", "ops"):
-            value = tuple(value.split(","))
-        kwargs[takes[name]] = value
+    if args.micro is not None and args.micro < args.reps:
+        raise UsageError(f"--micro must be >= --reps, got {args.micro} < {args.reps}")
     common = {"repetitions": args.reps, "seed": args.seed}
-    if run == "--micro":
-        try:
-            results = bench.microbench_all(**common, **kwargs)
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+    if args.micro is not None:
+        results = bench.microbench_all(args.micro, **common)
         summary = bench.microbench_gain_lines(results)
     else:
-        preset = bench.SWEEP if run == "--sweep-rounds" else {}
+        # Options left out keep BenchConfig's defaults.
+        for name, value in matrix.items():
+            if name in ("sizes", "key_sizes", "rounds"):
+                matrix[name] = _split_ints(value, _flag(name))
+            elif name != "warmup":
+                matrix[name] = tuple(value.split(","))
         try:
-            cfg = bench.BenchConfig(**{**preset, **common, **kwargs})
+            cfg = bench.BenchConfig(**common, **matrix)
         except ValueError as e:
             raise UsageError(str(e)) from e
         results = bench.run_matrix(cfg)
-        summary = (bench.sweep_growth_lines if preset else bench.variant_gain_lines)(results)
+        summary = bench.variant_gain_lines(results) + bench.sweep_growth_lines(results)
 
     report = bench.emit_report(results, args.report)
     _write_text(args.out_path, report)
@@ -359,12 +336,18 @@ def _cmd_cost(args) -> int:
 
     try:
         if args.grid:
+            given = [flag for flag, value in (("--nb", args.nb), ("--nr", args.nr))
+                     if value is not None]
+            if given:
+                raise UsageError(f"--grid takes no {', '.join(given)}")
             rows = costmodel.cost_grid_rows(t_a=args.ta, t_o=args.to, t_s=args.ts)
             lines = ["nb,nr,key_bits,encrypt_cycles,decrypt_cycles"]
             lines += [f"{nb},{nr},{kb},{e:g},{d:g}" for nb, nr, kb, e, d in rows]
             _write_text(args.out_path, "\n".join(lines) + "\n")
         else:
-            p = costmodel.CostParams(args.nb, args.nr, args.ta, args.to, args.ts)
+            p = costmodel.CostParams(4 if args.nb is None else args.nb,
+                                     10 if args.nr is None else args.nr,
+                                     args.ta, args.to, args.ts)
             text = (f"encrypt: {costmodel.encrypt_cycles(p):g}\n"
                     f"decrypt: {costmodel.decrypt_cycles(p):g}\n")
             _write_text(args.out_path, text)

@@ -6,7 +6,6 @@ import pytest
 
 from aeslab import bench, core
 from aeslab.bench import (
-    SWEEP,
     BenchConfig,
     BenchResult,
     emit_report,
@@ -28,6 +27,16 @@ SMALL = BenchConfig(
     warmup=0,
     seed=5,
 )
+
+# The round-count growth experiment: AES-128 Base ECB, both ops, at
+# several round counts.
+ROUND_SWEEP = {
+    "key_sizes": (128,),
+    "variants": ("base",),
+    "modes": ("ecb",),
+    "ops": ("encrypt", "decrypt"),
+    "rounds": (2, 4, 6, 8, 10),
+}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +64,17 @@ def test_config_validation():
         BenchConfig(ops=("encrypt", "frobnicate"))
     with pytest.raises(ValueError, match="round count must be >= 1, got 0"):
         BenchConfig(rounds=(0,))
+    # a repeated value would time one cell twice under one label
+    for field, values in (
+        ("sizes", (64, 128, 64)),
+        ("key_sizes", (128, 128)),
+        ("variants", ("base", "base")),
+        ("modes", ("ecb", "ecb")),
+        ("ops", ("decrypt", "encrypt", "decrypt")),
+        ("rounds", (2, 2)),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} lists {values[0]!r} more than once$"):
+            BenchConfig(**{field: values})
 
 
 def test_matrix_cell_count_and_labels(small_results):
@@ -92,14 +112,14 @@ def test_matrix_covers_modes_and_decrypt():
 
 
 def test_round_sweep_mechanics():
-    results = run_matrix(BenchConfig(**{**SWEEP, "sizes": (1024,), "rounds": (1, 2),
+    results = run_matrix(BenchConfig(**{**ROUND_SWEEP, "sizes": (1024,), "rounds": (1, 2),
                                         "repetitions": 3, "warmup": 0, "seed": 7}))
     assert len(results) == 4  # 2 round counts x encrypt/decrypt
     assert {r.n_r for r in results} == {1, 2}
     assert {r.op for r in results} == {"encrypt", "decrypt"}
     assert all(r.expand_s > 0 for r in results)
     with pytest.raises(ValueError):
-        run_matrix(BenchConfig(**{**SWEEP, "rounds": (0,)}))
+        run_matrix(BenchConfig(**{**ROUND_SWEEP, "rounds": (0,)}))
 
 
 def test_round_sweep_interleaves_round_counts(monkeypatch):
@@ -113,7 +133,7 @@ def test_round_sweep_interleaves_round_counts(monkeypatch):
         return measure(cells, repetitions, warmup)
 
     monkeypatch.setattr(bench, "_verify_then_measure", recording)
-    results = run_matrix(BenchConfig(**{**SWEEP, "sizes": (64, 128), "rounds": (1, 2),
+    results = run_matrix(BenchConfig(**{**ROUND_SWEEP, "sizes": (64, 128), "rounds": (1, 2),
                                         "repetitions": 3, "warmup": 0, "seed": 7}))
     cells = {(n_r, op) for n_r in (1, 2) for op in ("encrypt", "decrypt")}
     assert calls == [cells, cells]  # one call per size

@@ -1,10 +1,13 @@
 import csv
 import random
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from aeslab.bmp import parse_bmp
-from aeslab.cli import EXIT_INPUT, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, dispatch
+from aeslab.cli import EXIT_INPUT, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, build_parser, dispatch
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 IV = "membered".encode().hex() * 2
@@ -124,6 +127,20 @@ def test_key_file(tmp_path, raw_file):
                "--in", str(raw_file), "--out", str(ct)) == EXIT_OK
 
 
+def test_empty_key_hex_is_a_key(tmp_path, raw_file, capsys):
+    # An empty --key-hex is a 0-byte key, not a missing one.
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(KEY + "\n")
+    out = tmp_path / "out.enc"
+    io = ("--in", str(raw_file), "--out", str(out))
+    assert run("encrypt", "--mode", "ecb", "--key-hex", "", *io) == EXIT_INPUT
+    assert "key must be 16, 24, or 32 bytes, got 0" in capsys.readouterr().err
+    assert run("encrypt", "--mode", "ecb", "--key-hex", "", "--key-file", str(key_file),
+               *io) == EXIT_USAGE
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_image_and_image_mode_ecb_leak(tmp_path, capsys):
     plain = tmp_path / "plain.bmp"
     enc = tmp_path / "enc.bmp"
@@ -234,6 +251,9 @@ def test_cost_rejects_bad_params(capsys):
         assert run("cost", "--ta", value) == EXIT_USAGE
         assert run("cost", "--ts", value, "--grid") == EXIT_USAGE
     assert capsys.readouterr().out == ""
+    # The grid runs over its own (n_b, n_r) pairs, so it would ignore these.
+    assert run("cost", "--grid", "--nb", "6", "--nr", "3") == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --grid takes no --nb, --nr\n")
 
 
 def test_bench_cli_small_run(tmp_path, capsys):
@@ -254,7 +274,7 @@ def test_bench_cli_small_run(tmp_path, capsys):
     ("--key-sizes", "512"),
     ("--variants", "turbo"),
     ("--rounds", "0"),
-    ("--sweep-rounds", "0,2"),
+    ("--rounds", "0,2"),
 ])
 def test_bench_cli_rejects_unknown_names(capsys, flag, value):
     assert run("bench", "--sizes", "512", flag, value) == EXIT_USAGE
@@ -276,8 +296,8 @@ def test_bench_cli_matrix_defaults(tmp_path):
     assert {c[3:] for c in cells} == {("ecb", "encrypt"), ("cbc", "encrypt")}
 
 
-@pytest.mark.parametrize("other_run", [("--sweep-rounds", "1,2"), ("--micro",)],
-                         ids=["sweep", "micro"])
+# --micro bare (its default count) and with a count, before a matrix option.
+@pytest.mark.parametrize("micro", [("--micro",), ("--micro", "300")], ids=["micro", "micro-300"])
 @pytest.mark.parametrize("flag,value", [
     ("--key-sizes", "256"),
     ("--variants", "optf"),
@@ -285,38 +305,50 @@ def test_bench_cli_matrix_defaults(tmp_path):
     ("--ops", "decrypt"),
     ("--rounds", "4"),
 ])
-def test_bench_cli_matrix_options_refused_outside_matrix(capsys, other_run, flag, value):
-    assert run("bench", "--sizes", "512", "--reps", "3", "--warmup", "0",
-               "--micro-iters", "300", *other_run, flag, value) == EXIT_USAGE
+def test_bench_cli_matrix_options_refused_outside_matrix(capsys, micro, flag, value):
+    assert run("bench", "--reps", "3", *micro, flag, value) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert other_run[0] in captured.err and flag in captured.err
+    assert "--micro" in captured.err and flag in captured.err
 
 
-@pytest.mark.parametrize("run_args,flag,value", [
-    (("--micro",), "--sizes", "512"),
-    (("--micro",), "--warmup", "0"),
-    (("--micro",), "--sweep-rounds", "1,2"),
-    (("--micro",), "--reps", "2"),
-    ((), "--micro-iters", "300"),
-    (("--sweep-rounds", "1,2"), "--micro-iters", "300"),
-], ids=["micro-sizes", "micro-warmup", "micro-sweep", "micro-reps", "matrix-iters",
-        "sweep-iters"])
-def test_bench_cli_refuses_options_its_run_ignores(capsys, run_args, flag, value):
-    base = ("--micro-iters", "300") if "--micro" in run_args else ("--sizes", "512")
-    assert run("bench", *base, "--reps", "3", *run_args, flag, value) == EXIT_USAGE
+@pytest.mark.parametrize("flag,value", [
+    ("--sizes", "512"),
+    ("--warmup", "0"),
+    ("--reps", "2"),
+], ids=["micro-sizes", "micro-warmup", "micro-reps"])
+def test_bench_cli_refuses_options_its_run_ignores(capsys, flag, value):
+    assert run("bench", "--micro", "300", "--reps", "3", flag, value) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("flag,value", [("--sweep-rounds", "1,2"), ("--micro-iters", "300")])
+def test_bench_cli_removed_flags_exit_2(capsys, flag, value):
+    # The round sweep is --rounds, and --micro takes its own count.
+    assert run("bench", flag, value) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_bench_cli_refuses_repeated_values(tmp_path, capsys):
+    # The two sizes would be two payloads timed under one label.
+    out_csv = tmp_path / "bench.csv"
+    assert run("bench", "--sizes", "64,64", "--rounds", "2,2", "--modes", "ecb,ecb",
+               "--variants", "optf", "--reps", "3", "--out", str(out_csv)) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: sizes lists 64 more than once\n")
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("argv,flags", [
-    (("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "0"), ("--reps",)),
-    (("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "2"), ("--reps",)),
-    (("--sweep-rounds", "1,2", "--sizes", "64", "--reps", "3", "--warmup", "-3"), ("--warmup",)),
-    (("--micro", "--micro-iters", "2", "--reps", "3"), ("--micro-iters", "--reps")),
+    (("--rounds", "1,2", "--sizes", "64", "--reps", "0"), ("--reps",)),
+    (("--rounds", "1,2", "--sizes", "64", "--reps", "2"), ("--reps",)),
+    (("--rounds", "1,2", "--sizes", "64", "--reps", "3", "--warmup", "-3"), ("--warmup",)),
+    (("--micro", "2", "--reps", "3"), ("--micro", "--reps")),
     (("--sizes", "64", "--reps", "2"), ("--reps",)),
     (("--sizes", "64", "--reps", "3", "--warmup", "-1"), ("--warmup",)),
     (("--micro", "--reps", "1"), ("--reps",)),
@@ -331,18 +363,55 @@ def test_bench_cli_refuses_bad_counts(capsys, argv, flags):
         assert flag in captured.err
 
 
-def test_bench_cli_sweep(tmp_path):
+def test_bench_cli_sweep(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
-    assert run("bench", "--sizes", "512", "--sweep-rounds", "1,2",
+    assert run("bench", "--sizes", "512", "--key-sizes", "128", "--variants", "base",
+               "--modes", "ecb", "--ops", "encrypt,decrypt", "--rounds", "1,2",
                "--reps", "3", "--warmup", "0", "--out", str(out_csv)) == EXIT_OK
     assert len(out_csv.read_text().strip().splitlines()) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" time ")[0] for line in lines] == [
+        f"ecb/{op} 528B key128 base: rounds 1->2" for op in ("decrypt", "encrypt")
+    ]
+
+
+def test_bench_cli_prints_gains_and_growth(tmp_path, capsys):
+    # A matrix over several variants and round counts prints both summaries.
+    assert run("bench", "--sizes", "512", "--key-sizes", "128", "--modes", "ecb",
+               "--variants", "base,optf", "--rounds", "1,2", "--reps", "3",
+               "--warmup", "0", "--out", str(tmp_path / "bench.csv")) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [re.sub(r" [+-][\d.]+%", " N%", line) for line in lines] == [
+        "ecb/encrypt 528B key128 1r: optf N% vs base (reported: 20%)",
+        "ecb/encrypt 528B key128 2r: optf N% vs base (reported: 20%)",
+        "ecb/encrypt 528B key128 base: rounds 1->2 time N% (reported band: 14-19%)",
+        "ecb/encrypt 528B key128 optf: rounds 1->2 time N% (reported band: 14-19%)",
+    ]
 
 
 def test_bench_cli_micro(tmp_path):
     out_csv = tmp_path / "micro.csv"
-    assert run("bench", "--micro", "--micro-iters", "300", "--reps", "3",
+    assert run("bench", "--micro", "300", "--reps", "3",
                "--out", str(out_csv)) == EXIT_OK
     assert len(out_csv.read_text().strip().splitlines()) == 9
+
+
+def test_readme_commands_parse():
+    # Every aeslab command in the README's sh blocks is one the CLI accepts.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["aeslab"]:
+                commands.append(argv[1:])
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: aeslab {shlex.join(argv)}")
 
 
 def test_nonstandard_round_count_roundtrip(tmp_path, raw_file):
