@@ -5,7 +5,11 @@ Exit codes: 0 success, 2 usage error (including a flag value out of
 range), 3 input error (missing or malformed files, keys or IVs), 4
 integrity error (padding check failed on decryption).  Every
 subcommand is scriptable: no prompts, and all randomness is seedable
-via --seed.
+via --seed; encrypt and decrypt refuse --seed where they draw no IV.
+
+Raw-format encrypt and decrypt write their output piece by piece, and
+open it only once the first piece exists: every input and padding
+error is raised before then.
 
 bench has two kinds of run: the timing matrix, which is a round sweep
 when --rounds lists several counts, and --micro [ITERS], the
@@ -14,6 +18,7 @@ the matrix.  cost --grid likewise refuses --nb and --nr.
 """
 
 import argparse
+import itertools
 import random
 import sys
 
@@ -72,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bmp-image-mode: keep the BMP header, encrypt the pixel array, "
                             "preserve file size")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed the IV generator (testing only)")
+                       help="seed the IV that CBC encrypt draws without --iv-hex (testing only)")
 
     p = sub.add_parser("make-image", help="generate a synthetic 24-bit BMP test image")
     p.add_argument("--pattern", required=True,
@@ -134,10 +139,11 @@ def _read_file(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {e}") from e
 
 
-def _write_file(path: str, data: bytes) -> None:
+def _write_file(path: str, pieces) -> None:
+    """Write each bytes piece in turn, as the iterable produces it."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(pieces)
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}") from e
 
@@ -203,24 +209,32 @@ def _cmd_crypt(args) -> int:
     iv = _parse_iv(args)
     if args.mode == "ecb" and iv is not None:
         raise UsageError("--iv-hex is forbidden for ECB")
-    rng = random.Random(args.seed) if args.seed is not None else None
+    draws_iv = args.command == "encrypt" and args.mode == "cbc" and iv is None
+    if args.seed is not None and not draws_iv:
+        raise UsageError("--seed is forbidden here: it seeds only the IV that "
+                         "CBC encrypt draws without --iv-hex")
+    if draws_iv:
+        iv = modes.random_iv(random.Random(args.seed) if args.seed is not None else None)
     data = _read_file(args.in_path)
 
     if args.format == "raw":
         if args.command == "encrypt":
-            out = modes.encrypt_blob(data, ks, args.mode, plan, iv, rng)
+            pieces = modes.encrypt_pieces(data, ks, args.mode, plan, iv)
         else:
-            try:
-                out = modes.decrypt_blob(data, ks, args.mode, plan, iv)
-            except PaddingError:
-                raise  # handled in dispatch with the integrity exit code
-            except ValueError as e:
-                raise InputError(str(e)) from e
+            pieces = modes.decrypt_pieces(data, ks, args.mode, plan, iv)
+        # Every input or integrity error raises before the first piece,
+        # so a failed run neither creates nor truncates --out.
+        try:
+            first = next(pieces)
+        except PaddingError:
+            raise  # handled in dispatch with the integrity exit code
+        except ValueError as e:
+            raise InputError(str(e)) from e
+        out = itertools.chain((first,), pieces)
     else:
         img = _parse_image(args.in_path, data)
         if args.command == "encrypt":
-            if args.mode == "cbc" and iv is None:
-                iv = modes.random_iv(rng)
+            if draws_iv:
                 print(f"iv={iv.hex()}")
             pixels = modes.encrypt_with_residual(img.pixels, ks, args.mode, plan, iv)
         else:
@@ -229,7 +243,7 @@ def _cmd_crypt(args) -> int:
                                  "(the image file carries no IV)")
             pixels = modes.decrypt_with_residual(img.pixels, ks, args.mode, plan, iv)
         img.pixels = pixels
-        out = bmp.serialize_bmp(img)
+        out = (bmp.serialize_bmp(img),)
 
     _write_file(args.out_path, out)
     return EXIT_OK
@@ -243,7 +257,7 @@ def _cmd_make_image(args) -> int:
         img = bmp.make_test_image(args.pattern, args.width, args.height)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    _write_file(args.out_path, bmp.serialize_bmp(img))
+    _write_file(args.out_path, (bmp.serialize_bmp(img),))
     return EXIT_OK
 
 

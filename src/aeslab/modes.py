@@ -10,11 +10,19 @@ by block.  CBC decryption does not: with D the block decryption applied
 to every block of the ciphertext C, the plaintext is
 D(C) xor (IV || C[:-16]), one XOR over the whole message.
 
-Each mode loop appends its blocks to one bytearray, so transient memory
-is about 2x the message (4-5x for CBC decryption's whole-message XOR
-on ints), where a list of blocks joined at the end peaks near 10x.
-Slice stores into a preallocated buffer would use less memory but
-about twice the per-block loop overhead of an append.
+Each mode loop appends its blocks to one bytearray and returns its
+bytes: about twice its input in transient memory (4-5x for CBC
+decryption's whole-message XOR on ints), where a list of blocks joined
+at the end peaks near 10x.  Slice stores into a preallocated buffer
+would use less memory but about twice the per-block loop overhead of
+an append.
+
+The raw-file layout runs those loops on pieces of at most CHUNK bytes.
+encrypt_pieces/decrypt_pieces yield it piece by piece, CBC carrying the
+chaining block from one piece to the next, so a caller that writes each
+piece as it comes holds its input plus about one piece: `aeslab
+encrypt/decrypt` peaks near 1.1x a 1 MiB file.  encrypt_blob and
+decrypt_blob join the pieces.
 """
 
 import os
@@ -23,6 +31,10 @@ from .core import BLOCK_SIZE, KeySchedule
 from .variants import VariantPlan, decrypt_block_variant, encrypt_block_variant
 
 MODES = ("ecb", "cbc")
+
+# Raw-layout piece size: 1024 blocks, small beside a file and large
+# beside the per-call overhead of a mode loop.
+CHUNK = 16 * 1024
 
 
 class PaddingError(ValueError):
@@ -49,11 +61,14 @@ def _xor_block(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_SIZE, "big")
 
 
-def _require_aligned(data: bytes) -> None:
-    if len(data) % BLOCK_SIZE != 0:
-        raise ValueError(
-            f"data length {len(data)} is not a multiple of {BLOCK_SIZE}"
-        )
+def _require_aligned(n: int) -> None:
+    if n % BLOCK_SIZE != 0:
+        raise ValueError(f"data length {n} is not a multiple of {BLOCK_SIZE}")
+
+
+def _require_iv(iv: bytes) -> None:
+    if len(iv) != BLOCK_SIZE:
+        raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
 
 
 # The modes look the block functions up in this module's globals once
@@ -71,20 +86,19 @@ def _each_block(fn, data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytearra
 def ecb_encrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
     """Each block encrypted independently; equal plaintext blocks give
     equal ciphertext blocks."""
-    _require_aligned(data)
+    _require_aligned(len(data))
     return bytes(_each_block(encrypt_block_variant, data, ks, plan))
 
 
 def ecb_decrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
-    _require_aligned(data)
+    _require_aligned(len(data))
     return bytes(_each_block(decrypt_block_variant, data, ks, plan))
 
 
 def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
     """C_i = E_k(M_i xor C_{i-1}) with C_0 = IV."""
-    _require_aligned(data)
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
+    _require_aligned(len(data))
+    _require_iv(iv)
     enc = encrypt_block_variant
     out = bytearray()
     prev = iv
@@ -96,9 +110,8 @@ def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
 
 def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
     """M_i = D_k(C_i) xor C_{i-1} with C_0 = IV, all blocks at once."""
-    _require_aligned(data)
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
+    _require_aligned(len(data))
+    _require_iv(iv)
     n = len(data)
     out = _each_block(decrypt_block_variant, data, ks, plan)
     # IV || C[:-16] as one int: IV above C, shifted down one block.
@@ -115,15 +128,85 @@ def random_iv(rng: "random.Random | None" = None) -> bytes:
 
 
 def _check_iv(mode: str, iv: bytes | None) -> None:
-    """ECB carries no IV, CBC needs one; any other mode is unknown."""
+    """ECB carries no IV, CBC needs a 16-byte one; any other mode is
+    unknown."""
     if mode == "ecb":
         if iv is not None:
             raise ValueError("ECB must not carry an IV")
     elif mode == "cbc":
         if iv is None:
             raise ValueError("CBC requires an IV")
+        _require_iv(iv)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+
+
+def encrypt_pieces(
+    data: bytes,
+    ks: KeySchedule,
+    mode: str,
+    plan: VariantPlan,
+    iv: bytes | None,
+):
+    """Yield the raw-file layout of data in order: CBC's IV, then the
+    ciphertext of successive CHUNK-byte slices, the last one padded.
+    IV misuse raises before the first yield."""
+    _check_iv(mode, iv)
+    if iv is not None:
+        yield iv
+    last = len(data) - len(data) % CHUNK  # where the padded piece starts
+    prev = iv
+    for i in range(0, last + 1, CHUNK):
+        piece = data[i:i + CHUNK] if i < last else pkcs7_pad(data[last:])
+        if prev is None:
+            yield ecb_encrypt(piece, ks, plan)
+        else:
+            piece = cbc_encrypt(piece, ks, prev, plan)
+            prev = piece[-BLOCK_SIZE:]
+            yield piece
+
+
+def _decrypt_piece(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None) -> bytes:
+    """ECB when iv is None, else CBC chained from iv."""
+    if iv is None:
+        return ecb_decrypt(piece, ks, plan)
+    return cbc_decrypt(piece, ks, iv, plan)
+
+
+def decrypt_pieces(
+    blob: bytes,
+    ks: KeySchedule,
+    mode: str,
+    plan: VariantPlan,
+    iv: bytes | None = None,
+):
+    """Yield the plaintext of a raw-file layout in order.  For CBC the IV
+    is read from the 16-byte prefix unless one is passed explicitly.
+
+    Every error (a short or misaligned blob, IV misuse, bad padding)
+    raises before the first yield: the last block is decrypted and
+    unpadded first and yielded after the blocks before it.  A body of at
+    most CHUNK bytes is one piece."""
+    start = 0  # where the ciphertext starts; indexed, not sliced off
+    if mode == "cbc" and iv is None:
+        if len(blob) < BLOCK_SIZE:
+            raise ValueError("CBC blob shorter than its IV prefix")
+        iv, start = blob[:BLOCK_SIZE], BLOCK_SIZE
+    _check_iv(mode, iv)
+    if len(blob) - start <= CHUNK:
+        yield pkcs7_unpad(_decrypt_piece(blob[start:], ks, plan, iv))
+        return
+    _require_aligned(len(blob) - start)
+    last = len(blob) - BLOCK_SIZE
+    tail = pkcs7_unpad(_decrypt_piece(
+        blob[last:], ks, plan, None if iv is None else blob[last - BLOCK_SIZE:last]))
+    prev = iv
+    for i in range(start, last, CHUNK):
+        j = min(i + CHUNK, last)
+        yield _decrypt_piece(blob[i:j], ks, plan, prev)
+        if prev is not None:
+            prev = blob[j - BLOCK_SIZE:j]
+    yield tail
 
 
 def encrypt_blob(
@@ -138,11 +221,7 @@ def encrypt_blob(
     fresh IV unless one is passed."""
     if mode == "cbc" and iv is None:
         iv = random_iv(rng)
-    _check_iv(mode, iv)
-    padded = pkcs7_pad(data)
-    if iv is None:
-        return ecb_encrypt(padded, ks, plan)
-    return iv + cbc_encrypt(padded, ks, iv, plan)
+    return b"".join(encrypt_pieces(data, ks, mode, plan, iv))
 
 
 def decrypt_blob(
@@ -154,14 +233,7 @@ def decrypt_blob(
 ) -> bytes:
     """Invert encrypt_blob.  For CBC the IV is read from the 16-byte file
     prefix unless one is passed explicitly."""
-    if mode == "cbc" and iv is None:
-        if len(blob) < BLOCK_SIZE:
-            raise ValueError("CBC blob shorter than its IV prefix")
-        iv, blob = blob[:BLOCK_SIZE], blob[BLOCK_SIZE:]
-    _check_iv(mode, iv)
-    if iv is None:
-        return pkcs7_unpad(ecb_decrypt(blob, ks, plan))
-    return pkcs7_unpad(cbc_decrypt(blob, ks, iv, plan))
+    return b"".join(decrypt_pieces(blob, ks, mode, plan, iv))
 
 
 def encrypt_with_residual(

@@ -2,12 +2,15 @@ import csv
 import random
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from aeslab import modes
 from aeslab.bmp import parse_bmp
 from aeslab.cli import EXIT_INPUT, EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, build_parser, dispatch
+from aeslab.modes import CHUNK
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 IV = "membered".encode().hex() * 2
@@ -64,6 +67,110 @@ def test_raw_cbc_explicit_iv(tmp_path, raw_file):
     assert run("decrypt", "--mode", "cbc", "--key-hex", KEY, "--iv-hex", IV,
                "--in", str(trimmed), "--out", str(pt)) == EXIT_OK
     assert pt.read_bytes() == raw_file.read_bytes()
+
+
+@pytest.mark.parametrize("command,mode,fmt,extra", [
+    ("encrypt", "ecb", "raw", ()),
+    ("encrypt", "cbc", "raw", ("--iv-hex", IV)),
+    ("decrypt", "ecb", "raw", ()),
+    ("decrypt", "cbc", "raw", ()),
+    ("encrypt", "ecb", "bmp-image-mode", ()),
+    ("encrypt", "cbc", "bmp-image-mode", ("--iv-hex", IV)),
+    ("decrypt", "ecb", "bmp-image-mode", ()),
+    ("decrypt", "cbc", "bmp-image-mode", ("--iv-hex", IV)),
+], ids=lambda v: v if isinstance(v, str) else ("iv" if v else "no-iv"))
+def test_seed_refused_where_no_iv_is_drawn(tmp_path, capsys, command, mode, fmt, extra):
+    # Only CBC encryption without --iv-hex draws an IV for --seed to seed.
+    src = tmp_path / "in.bin"
+    if fmt == "raw":
+        src.write_bytes(bytes(32))
+    else:
+        assert run("make-image", "--pattern", "gradient", "--width", "8",
+                   "--height", "8", "--out", str(src)) == EXIT_OK
+    out = tmp_path / "out.bin"
+    assert run(command, "--mode", mode, "--format", fmt, "--key-hex", KEY, "--seed", "7",
+               *extra, "--in", str(src), "--out", str(out)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--seed" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["ecb", "cbc"])
+def test_long_ciphertext_errors_leave_out_alone(tmp_path, capsys, mode):
+    # The last block is checked before the first piece is written, so a
+    # failed decryption neither creates nor truncates --out.
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(random.Random(81).randbytes(CHUNK + 1000))
+    ct = tmp_path / "ct.bin"
+    iv = ("--iv-hex", IV) if mode == "cbc" else ()
+    assert run("encrypt", "--mode", mode, "--key-hex", KEY, *iv,
+               "--in", str(plain), "--out", str(ct)) == EXIT_OK
+    body = ct.read_bytes()
+    assert len(body) > CHUNK
+    flipped = bytearray(body)
+    flipped[-1] ^= 1
+    bad = tmp_path / "bad.bin"
+    for data, code in ((bytes(flipped), EXIT_INTEGRITY), (body[:-1], EXIT_INPUT)):
+        bad.write_bytes(data)
+        absent, kept = tmp_path / "absent.bin", tmp_path / "kept.bin"
+        kept.write_bytes(b"kept")
+        for out in (absent, kept):
+            assert run("decrypt", "--mode", mode, "--key-hex", KEY,
+                       "--in", str(bad), "--out", str(out)) == code
+        assert not absent.exists()
+        assert kept.read_bytes() == b"kept"
+    capsys.readouterr()
+    # An --out that cannot be opened for writing is an input error.
+    assert run("decrypt", "--mode", mode, "--key-hex", KEY,
+               "--in", str(ct), "--out", str(tmp_path)) == EXIT_INPUT
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["ecb", "cbc"])
+def test_raw_in_place_roundtrip(tmp_path, mode):
+    # The input is read whole before --out is opened, so --in X --out X works.
+    path = tmp_path / "file.bin"
+    data = random.Random(83).randbytes(2 * CHUNK + 5)
+    path.write_bytes(data)
+    iv, prefix = (("--iv-hex", IV), 16) if mode == "cbc" else ((), 0)
+    io = ("--in", str(path), "--out", str(path))
+    assert run("encrypt", "--mode", mode, "--key-hex", KEY, *iv, *io) == EXIT_OK
+    assert len(path.read_bytes()) == prefix + len(data) + 11
+    assert run("decrypt", "--mode", mode, "--key-hex", KEY, *io) == EXIT_OK
+    assert path.read_bytes() == data
+
+
+def test_raw_file_peak_memory_is_input_plus_a_piece(tmp_path, monkeypatch):
+    # Identity block functions keep the kernels' own allocations (and
+    # their time under tracemalloc) out, so the peak counts the copies
+    # the raw layout makes: the input read whole plus about one piece.
+    identity = lambda block, ks, plan: block  # noqa: E731
+    monkeypatch.setattr(modes, "encrypt_block_variant", identity)
+    monkeypatch.setattr(modes, "decrypt_block_variant", identity)
+    size = 1 << 20
+    data = random.Random(84).randbytes(size)
+    plain, ct, back = tmp_path / "plain.bin", tmp_path / "ct.bin", tmp_path / "back.bin"
+    plain.write_bytes(data)
+
+    def crypt(command, mode, src, dst):
+        iv = ("--iv-hex", IV) if mode == "cbc" and command == "encrypt" else ()
+        return run(command, "--mode", mode, "--key-hex", KEY, "--variant", "optf", *iv,
+                   "--in", str(src), "--out", str(dst))
+
+    assert crypt("encrypt", "ecb", plain, ct) == EXIT_OK  # warm-up
+    for mode in ("ecb", "cbc"):
+        for command, src, dst in (("encrypt", plain, ct), ("decrypt", ct, back)):
+            tracemalloc.start()
+            try:
+                code = crypt(command, mode, src, dst)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            assert peak <= 1.25 * size, (mode, command, peak / size)
+        assert back.read_bytes() == data
 
 
 def test_wrong_key_is_integrity_error(tmp_path, raw_file):

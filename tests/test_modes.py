@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 from aeslab import modes
 from aeslab.core import encrypt_block, key_expansion
 from aeslab.modes import (
+    CHUNK,
     PaddingError,
     cbc_decrypt,
     cbc_encrypt,
     decrypt_blob,
+    decrypt_pieces,
     decrypt_with_residual,
     ecb_decrypt,
     ecb_encrypt,
     encrypt_blob,
+    encrypt_pieces,
     encrypt_with_residual,
     pkcs7_pad,
     pkcs7_unpad,
@@ -27,11 +31,12 @@ from reference import aes_decrypt_oracle, aes_encrypt_oracle, cbc_encrypt_oracle
 
 # The AES-128 Base plan: the core round functions on every round.
 BASE = make_plan("base", 10)
+KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 
 @pytest.fixture(scope="module")
 def ks():
-    return key_expansion(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+    return key_expansion(KEY)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +256,77 @@ def test_blob_wrong_key_fails_padding(ks):
 def test_blob_ecb_refuses_iv(ks):
     with pytest.raises(ValueError):
         encrypt_blob(b"x", ks, "ecb", BASE, iv=bytes(16))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_block(block: bytes) -> bytes:
+    # Prefixes of one message share their blocks, CBC chain included.
+    return aes_encrypt_oracle(block, KEY)
+
+
+def raw_layout_oracle(data: bytes, iv) -> bytes:
+    """[IV ||] the reference cipher's blocks over pkcs7_pad(data), in
+    ECB (iv None) or CBC."""
+    padded = pkcs7_pad(data)
+    out = [] if iv is None else [iv]
+    for i in range(0, len(padded), 16):
+        block = padded[i:i + 16]
+        if iv is not None:  # chain from the IV or the previous block
+            block = bytes(a ^ b for a, b in zip(block, out[-1]))
+        out.append(_oracle_block(block))
+    return b"".join(out)
+
+
+PIECE_LENGTHS = [0, 1] + [k * CHUNK + d for k in (1, 2)
+                          for d in (-17, -16, -1, 0, 1, 15, 16, 17)]
+
+
+@pytest.mark.parametrize("mode", ["ecb", "cbc"])
+def test_piece_boundaries_are_invisible(ks, mode):
+    # Lengths on and beside one and two piece boundaries give the same
+    # layout as the reference cipher over the whole padded message.
+    plan = make_plan("optf", ks.n_r)
+    message = random.Random(50).randbytes(2 * CHUNK + 17)
+    iv = bytes(range(16)) if mode == "cbc" else None
+    for n in PIECE_LENGTHS:
+        data = message[:n]
+        blob = encrypt_blob(data, ks, mode, plan, iv)
+        assert blob == raw_layout_oracle(data, iv), n
+        pieces = list(encrypt_pieces(data, ks, mode, plan, iv))
+        assert b"".join(pieces) == blob
+        assert max(map(len, pieces)) <= CHUNK + 16
+        assert decrypt_blob(blob, ks, mode, plan) == data  # embedded IV, if any
+        plain = list(decrypt_pieces(blob, ks, mode, plan))
+        assert b"".join(plain) == data and max(map(len, plain)) <= CHUNK
+        if mode == "cbc":
+            assert decrypt_blob(blob[16:], ks, mode, plan, iv=iv) == data  # explicit IV
+    if mode == "cbc":
+        # A drawn IV is the generator's next 16 bytes and leads the layout.
+        data = message[:100]
+        blob = encrypt_blob(data, ks, mode, plan, rng=random.Random(51))
+        drawn = random.Random(51).randbytes(16)
+        assert blob == encrypt_blob(data, ks, mode, plan, drawn)
+
+
+@pytest.mark.parametrize("mode", ["ecb", "cbc"])
+def test_piece_errors_raise_before_the_first_piece(ks, mode):
+    # A long body's last block is decrypted and unpadded first, so no
+    # piece is produced for a ciphertext that fails its padding check.
+    plan = make_plan("optf", ks.n_r)
+    iv = bytes(range(16)) if mode == "cbc" else None
+    blob = bytearray(encrypt_blob(bytes(CHUNK + 40), ks, mode, plan, iv))
+    blob[-1] ^= 1
+    with pytest.raises(PaddingError):
+        next(decrypt_pieces(bytes(blob), ks, mode, plan))
+    with pytest.raises(ValueError, match="not a multiple of 16"):
+        next(decrypt_pieces(bytes(blob[:-1]), ks, mode, plan))
+    with pytest.raises(ValueError):
+        next(encrypt_pieces(b"x", ks, mode, plan, None if iv else bytes(16)))
+    if mode == "cbc":
+        with pytest.raises(ValueError, match="shorter than its IV prefix"):
+            next(decrypt_pieces(bytes(15), ks, mode, plan))
+        with pytest.raises(ValueError, match="IV must be 16 bytes"):
+            next(encrypt_pieces(b"x", ks, mode, plan, bytes(15)))
 
 
 # ---------------------------------------------------------------------------
