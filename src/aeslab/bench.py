@@ -114,12 +114,12 @@ def _time_call(fn) -> float:
 def _expand(key: bytes, n_r: int | None, repetitions: int):
     """The key schedule, and the median time of `repetitions` further
     expansions of the same key (the first call warms up).  Each
-    expansion also reads the fields the schedule derives on first use,
-    so the time covers the whole schedule and no cell's first pass
-    derives them."""
+    expansion also derives the schedule's decrypt key words and
+    round-key matrices, so the time covers the whole schedule and no
+    cell's first pass derives them."""
     def expand():
         ks = key_expansion(key, n_r)
-        ks.dec_words, ks.round_keys
+        core.dec_words(ks), core.round_keys(ks)
         return ks
 
     ks = expand()

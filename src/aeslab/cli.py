@@ -213,6 +213,9 @@ def _cmd_crypt(args) -> int:
     if args.seed is not None and not draws_iv:
         raise UsageError("--seed is forbidden here: it seeds only the IV that "
                          "CBC encrypt draws without --iv-hex")
+    if args.format != "raw" and args.command == "decrypt" and args.mode == "cbc" and iv is None:
+        raise UsageError("bmp-image-mode CBC decrypt needs --iv-hex "
+                         "(the image file carries no IV)")
     if draws_iv:
         iv = modes.random_iv(random.Random(args.seed) if args.seed is not None else None)
     data = _read_file(args.in_path)
@@ -238,9 +241,6 @@ def _cmd_crypt(args) -> int:
                 print(f"iv={iv.hex()}")
             pixels = modes.encrypt_with_residual(img.pixels, ks, args.mode, plan, iv)
         else:
-            if args.mode == "cbc" and iv is None:
-                raise UsageError("bmp-image-mode CBC decrypt needs --iv-hex "
-                                 "(the image file carries no IV)")
             pixels = modes.decrypt_with_residual(img.pixels, ks, args.mode, plan, iv)
         img.pixels = pixels
         out = (bmp.serialize_bmp(img),)

@@ -17,19 +17,13 @@ round; the variants' block kernels run them for their baseline rounds.
 key_expansion runs the word loop of FIPS-197 5.2 (RotWord, SubWord,
 Rcon) on packed 32-bit words and returns a KeySchedule holding only the
 encrypt key words.  The two other key forms are derived from those words
-on first read: the round-key matrices that the baseline rounds add, and
-the equivalent inverse cipher's key words (FIPS-197 5.3.5), whose
-middle round keys go through InvMixColumns as the fused decrypt rounds
-apply it: four lookups in gf256's T_DEC per column, by the S-box images
-of the key bytes.  An all-fused (OptF) encrypt reads neither, and only
-the variants' decrypt kernels read the second.
-
-The schedule is read-only: assigning or deleting a field raises
-AttributeError, and nothing in the package mutates a field's contents.
-Threads may share one schedule.  Two threads reading a derived field
-for the first time may both derive it; both get equal values, and its
-slot is only ever written with a finished list or tuple, so
-encrypt/decrypt are safe for concurrent use.
+by the first call of round_keys or dec_words: the round-key matrices
+that the baseline rounds add, and the equivalent inverse cipher's key
+words (FIPS-197 5.3.5), whose middle round keys go through InvMixColumns
+as the fused decrypt rounds apply it: four lookups in gf256's T_DEC per
+column, by the S-box images of the key bytes.  An all-fused (OptF)
+encrypt calls neither, and only the variants' decrypt kernels call the
+second.
 """
 
 import struct
@@ -60,17 +54,13 @@ class KeySchedule(ReadOnly):
 
     enc_words[r] is round key r as four big-endian column words, a tuple
     of 4-tuples of ints, complete when key_expansion returns.
-    round_keys and dec_words are derived from enc_words on first read
-    (__getattr__, which Python calls only while a slot is empty) and
-    kept in their slots, so later reads are plain slot reads returning
-    the same object:
+    round_keys and dec_words are None until the module functions of the
+    same names derive them from enc_words and keep them:
     round_keys holds (n_r + 1) 4x4 matrices (lists) for the baseline
     rounds, and dec_words[r] is the equivalent inverse cipher's key
     (FIPS-197 5.3.5), round keys 0 and n_r as they are and round keys
     1..n_r-1 through InvMixColumns, so a fused decrypt round can add its
-    key after InvMixColumns.  Two threads reading a derived field first
-    may both derive it; they get equal values, and the slot is written
-    only with the finished value.
+    key after InvMixColumns.
     """
 
     __slots__ = ("n_r", "enc_words", "round_keys", "dec_words")
@@ -79,42 +69,51 @@ class KeySchedule(ReadOnly):
         set_field = object.__setattr__
         set_field(self, "n_r", n_r)
         set_field(self, "enc_words", enc_words)
+        set_field(self, "round_keys", None)
+        set_field(self, "dec_words", None)
 
-    def __getattr__(self, name: str):
-        if name == "round_keys":
-            value = self._derive_round_keys()
-        elif name == "dec_words":
-            value = self._derive_dec_words()
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
 
-    def _key_bytes(self, first: int, stop: int) -> bytes:
-        """Round keys first..stop-1 as packed big-endian column words."""
-        words = [w for rk in self.enc_words[first:stop] for w in rk]
-        return struct.pack(f">{len(words)}I", *words)
+def _key_bytes(ks: KeySchedule, first: int, stop: int) -> bytes:
+    """Round keys first..stop-1 as packed big-endian column words."""
+    words = [w for rk in ks.enc_words[first:stop] for w in rk]
+    return struct.pack(f">{len(words)}I", *words)
 
-    def _derive_round_keys(self) -> list:
-        kb = self._key_bytes(0, self.n_r + 1)
-        return [load_state(kb[o:o + 16]) for o in range(0, len(kb), 16)]
 
-    def _derive_dec_words(self) -> tuple:
+# round_keys and dec_words derive their field on the first call and keep
+# it in the schedule's slot, so later calls return that same object.
+# Threads may share a schedule: two first calls may both derive the
+# field, but they get equal values and the slot is written only with a
+# finished list or tuple.  The kernels call them once per block, so no
+# comprehension in them reads a local: CPython would make that local a
+# cell on every call, derived or not.
+def round_keys(ks: KeySchedule) -> list:
+    """The schedule's round-key matrices, ks.round_keys once derived."""
+    rk = ks.round_keys
+    if rk is None:
+        it = iter(_key_bytes(ks, 0, ks.n_r + 1))
+        rk = [load_state(bytes(b)) for b in zip(*[it] * 16)]
+        object.__setattr__(ks, "round_keys", rk)
+    return rk
+
+
+def dec_words(ks: KeySchedule) -> tuple:
+    """The schedule's decrypt key words, ks.dec_words once derived."""
+    w = ks.dec_words
+    if w is None:
         # FIPS-197 5.3.5: round keys 1..n_r-1 through InvMixColumns, with
         # the fused decrypt rounds' tables.  T_DEC[j][x] is column j of
         # InvMixColumns times INV_S_BOX[x], so T_DEC[j][S_BOX[b]] is that
         # column times b, and each key column is the XOR of four lookups.
-        n_r = self.n_r
         d0, d1, d2, d3 = T_DEC
-        it = iter(self._key_bytes(1, n_r).translate(S_BOX))
-        return (
-            self.enc_words[0],
-            *[(d0[b0] ^ d1[b1] ^ d2[b2] ^ d3[b3], d0[b4] ^ d1[b5] ^ d2[b6] ^ d3[b7],
-               d0[b8] ^ d1[b9] ^ d2[b10] ^ d3[b11], d0[b12] ^ d1[b13] ^ d2[b14] ^ d3[b15])
-              for b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15
-              in zip(*[it] * 16)],
-            self.enc_words[n_r],
-        )
+        it = iter(_key_bytes(ks, 1, ks.n_r).translate(S_BOX))
+        mid = []
+        for (b0, b1, b2, b3, b4, b5, b6, b7,
+             b8, b9, b10, b11, b12, b13, b14, b15) in zip(*[it] * 16):
+            mid.append((d0[b0] ^ d1[b1] ^ d2[b2] ^ d3[b3], d0[b4] ^ d1[b5] ^ d2[b6] ^ d3[b7],
+                        d0[b8] ^ d1[b9] ^ d2[b10] ^ d3[b11], d0[b12] ^ d1[b13] ^ d2[b14] ^ d3[b15]))
+        w = (ks.enc_words[0], *mid, ks.enc_words[ks.n_r])
+        object.__setattr__(ks, "dec_words", w)
+    return w
 
 
 def load_state(block: bytes) -> State:
@@ -138,8 +137,8 @@ def key_expansion(key: bytes, n_r: int | None = None) -> KeySchedule:
 
     n_r defaults to the standard round count for the key size (10/12/14)
     but may be any count >= 1 for round-reduced or round-extended
-    experiments; the expansion simply runs long enough.  The schedule
-    derives its round-key matrices and decrypt key words on first read.
+    experiments; the expansion simply runs long enough.  round_keys and
+    dec_words derive the schedule's other key forms when first needed.
     """
     if len(key) not in ROUNDS_BY_KEY_BYTES:
         raise ValueError(
@@ -265,13 +264,13 @@ def decrypt_rounds(state: State, rk: list, first: int, stop: int) -> State:
 
 def encrypt_block(block: bytes, ks: KeySchedule) -> bytes:
     """Initial AddRoundKey, n_r - 1 full rounds, final round without MixColumns."""
-    rk = ks.round_keys
+    rk = round_keys(ks)
     s = add_round_key(load_state(block), rk[0])
     return store_state(encrypt_rounds(s, rk, 1, ks.n_r + 1))
 
 
 def decrypt_block(block: bytes, ks: KeySchedule) -> bytes:
     """Exact inverse of encrypt_block under the same schedule."""
-    rk = ks.round_keys
+    rk = round_keys(ks)
     s = add_round_key(load_state(block), rk[ks.n_r])
     return store_state(decrypt_rounds(s, rk, 0, ks.n_r))

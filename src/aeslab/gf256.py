@@ -4,11 +4,11 @@ All arithmetic is over the field defined by the reduction polynomial
 x^8 + x^4 + x^3 + x + 1 (0x11B).  Field elements are plain ints in
 0..255.  The S-boxes, the fixed-multiplicand table and the fused
 round tables are generated at import time rather than hard-coded, and
-this module is the one that builds them.  The S-boxes are the plain
-bytes values S_BOX and INV_S_BOX; the product table is the MulTable
-MUL_TABLE, which looks up its rows by coefficient; the T-tables are the
-tuples T_ENC and T_DEC, four tuples of 256 big-endian words per
-direction.
+this module is the one that builds them.  All are plain immutable
+values: the S-boxes are the bytes S_BOX and INV_S_BOX; the product
+table MUL_TABLE is a tuple of six bytes rows, one per coefficient in
+MUL_TABLE_COEFFICIENTS order; the T-tables are the tuples T_ENC and
+T_DEC, four tuples of 256 big-endian words per direction.
 
 Generation runs on exponent and logarithm tables over the generator
 {03}, filled in 255 xtime steps (x * {03} = x ^ xtime(x)) once per
@@ -29,8 +29,8 @@ import struct
 REDUCTION_POLY = 0x11B
 
 # The six non-identity multiplicands that appear in MixColumns ({02, 03})
-# and InvMixColumns ({09, 0B, 0D, 0E}).  This tuple fixes the row order
-# of MulTable; consumers index rows by coefficient, never by row number.
+# and InvMixColumns ({09, 0B, 0D, 0E}), in the row order of MUL_TABLE;
+# its readers unpack the rows in this order.
 MUL_TABLE_COEFFICIENTS = (0x02, 0x03, 0x09, 0x0B, 0x0D, 0x0E)
 
 AFFINE_CONSTANT = 0x63
@@ -58,14 +58,11 @@ def gf_mul(a: int, b: int) -> int:
 
 
 class ReadOnly:
-    """Base of the package's records with behaviour: the product table,
-    the key schedule and the round plan; plain tables are bytes and
-    tuples instead.  __init__ fills the slots with object.__setattr__,
-    and a record may fill a slot the same way when it derives a field
-    on first read (as KeySchedule does); any assignment or deletion
-    through the instance raises AttributeError.  A derived slot is
-    written only with a finished value, equal whichever thread derives
-    it, so shared instances may be read concurrently."""
+    """Base of the package's two records, the key schedule and the round
+    plan; tables are plain bytes and tuples instead.  __init__ fills the
+    slots with object.__setattr__, as core's derive functions do for a
+    schedule's derived fields; any assignment or deletion through the
+    instance raises AttributeError."""
 
     __slots__ = ()
 
@@ -74,24 +71,6 @@ class ReadOnly:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is read-only")
-
-
-class MulTable(ReadOnly):
-    """Products of every byte with each fixed MixColumns coefficient.
-
-    Six rows of 256 bytes each (1536 bytes total), ordered per
-    MUL_TABLE_COEFFICIENTS.  table[c][x] == gf_mul(c, x); table[c]
-    raises ValueError for a coefficient with no row, such as 0x01.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple):
-        object.__setattr__(self, "rows", rows)
-
-    def __getitem__(self, coefficient: int) -> bytes:
-        i = MUL_TABLE_COEFFICIENTS.index(coefficient)
-        return self.rows[i]
 
 
 def _exp_log() -> tuple:
@@ -129,13 +108,14 @@ def build_sbox() -> tuple:
     return forward, bytes.maketrans(forward, bytes(range(256)))
 
 
-def build_mul_table() -> MulTable:
-    """Tabulate c * x for the six fixed MixColumns/InvMixColumns
-    coefficients, as a MulTable whose rows follow MUL_TABLE_COEFFICIENTS."""
+def build_mul_table() -> tuple:
+    """c * x for the six fixed MixColumns/InvMixColumns coefficients: one
+    256-byte row per coefficient, in MUL_TABLE_COEFFICIENTS order, so
+    row[x] == gf_mul(c, x) (1536 bytes)."""
     # Row c maps x to exp[log c + log x]; the appended 0 is c * 0.
-    return MulTable(tuple(
+    return tuple(
         _LOG.translate(_EXP[_LOG[c]:_LOG[c] + 255] + b"\0") for c in MUL_TABLE_COEFFICIENTS
-    ))
+    )
 
 
 _TABLE_WORDS = struct.Struct(">256I")
@@ -164,8 +144,9 @@ def build_t_tables() -> tuple:
     """
     # Table 0 applies column 0 of (Inv)MixColumns to the (inverse)
     # S-box output: bytes {02}s, s, s, {03}s and {0E}t, {09}t, {0D}t, {0B}t.
-    enc = (S_BOX.translate(MUL_TABLE[0x02]), S_BOX, S_BOX, S_BOX.translate(MUL_TABLE[0x03]))
-    dec = tuple(INV_S_BOX.translate(MUL_TABLE[c]) for c in (0x0E, 0x09, 0x0D, 0x0B))
+    m2, m3, m9, mb, md, me = MUL_TABLE
+    enc = (S_BOX.translate(m2), S_BOX, S_BOX, S_BOX.translate(m3))
+    dec = tuple(INV_S_BOX.translate(m) for m in (me, m9, md, mb))
     return _rotations(enc), _rotations(dec)
 
 

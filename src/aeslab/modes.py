@@ -215,12 +215,10 @@ def encrypt_blob(
     mode: str,
     plan: VariantPlan,
     iv: bytes | None = None,
-    rng: "random.Random | None" = None,
 ) -> bytes:
-    """Pad and encrypt a message into the raw-file layout.  CBC draws a
-    fresh IV unless one is passed."""
-    if mode == "cbc" and iv is None:
-        iv = random_iv(rng)
+    """Pad and encrypt a message into the raw-file layout, as
+    encrypt_pieces does: CBC needs an IV (random_iv draws one), ECB
+    takes none."""
     return b"".join(encrypt_pieces(data, ks, mode, plan, iv))
 
 

@@ -31,9 +31,10 @@ the inverse S-box.  A baseline run, and a baseline final round, is
 core's own round loop (encrypt_rounds / decrypt_rounds) on the 4x4
 matrix that core.load_state makes of x, stored back into x by
 core.store_state, the one conversion between block and matrix.  Only
-these baseline stages read the schedule's round-key matrices, so an
-all-fused (OptF) plan never derives them.  The per-transform functions
-below work on the matrix and serve the transform microbenchmarks.
+these baseline stages call core.round_keys, so an all-fused (OptF)
+plan never derives the schedule's round-key matrices.  The
+per-transform functions below work on the matrix and serve the
+transform microbenchmarks.
 """
 
 import struct
@@ -43,9 +44,11 @@ from .core import (
     BLOCK_SIZE,
     KeySchedule,
     State,
+    dec_words,
     decrypt_rounds,
     encrypt_rounds,
     load_state,
+    round_keys,
     store_state,
 )
 from .gf256 import INV_S_BOX, MUL_TABLE, S_BOX, T_DEC, T_ENC, ReadOnly
@@ -136,8 +139,7 @@ def unrolled_shift_rows(state: State) -> State:
 
 def table_mix_columns(state: State) -> State:
     """MixColumns with all field products taken from the 6x256 table."""
-    m2 = MUL_TABLE[0x02]
-    m3 = MUL_TABLE[0x03]
+    m2, m3 = MUL_TABLE[:2]
     out = [[0] * 4 for _ in range(4)]
     for j in range(4):
         a0 = state[0][j]
@@ -175,10 +177,8 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
     flags = plan.round_flags
-    # n_r comes from the key words, not ks.n_r: KeySchedule defines
-    # __getattr__, so CPython does not specialize reads of its fields.
     w = ks.enc_words
-    n_r = len(w) - 1
+    n_r = ks.n_r
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     pack = _BLOCK_WORDS.pack
@@ -195,9 +195,9 @@ def encrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
                          t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7] ^ k2,
                          t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11] ^ k3)
         else:
-            x = store_state(encrypt_rounds(load_state(x), ks.round_keys, first, stop))
+            x = store_state(encrypt_rounds(load_state(x), round_keys(ks), first, stop))
     if not flags[-1]:
-        return store_state(encrypt_rounds(load_state(x), ks.round_keys, n_r, n_r + 1))
+        return store_state(encrypt_rounds(load_state(x), round_keys(ks), n_r, n_r + 1))
     k0, k1, k2, k3 = w[n_r]
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 5)[::5].translate(S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
@@ -214,7 +214,7 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     last to first.  As in encryption, the packed state x passes between
     stages as 16 bytes.  A fused stage is InvShiftRows + InvSubBytes +
     AddRoundKey + InvMixColumns as 16 lookups by the bytes of x; it
-    adds ks.dec_words[r], the InvMixColumns image of round key r, after
+    adds dec_words(ks)[r], the InvMixColumns image of round key r, after
     the lookups, since InvMixColumns is linear.  A baseline run is
     core.decrypt_rounds on the state loaded from x.  The optimized
     trailing stage is InvShiftRows as the strided slice (x * 13)[::13],
@@ -224,8 +224,8 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
     flags = plan.round_flags
-    w = ks.dec_words
-    n_r = len(w) - 1
+    w = dec_words(ks)
+    n_r = ks.n_r
     if len(flags) != n_r:
         raise ValueError(f"plan covers {len(flags)} rounds but schedule has {n_r}")
     pack = _BLOCK_WORDS.pack
@@ -242,9 +242,9 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
                          d0[b8] ^ d1[b5] ^ d2[b2] ^ d3[b15] ^ k2,
                          d0[b12] ^ d1[b9] ^ d2[b6] ^ d3[b3] ^ k3)
         else:
-            x = store_state(decrypt_rounds(load_state(x), ks.round_keys, first, stop))
+            x = store_state(decrypt_rounds(load_state(x), round_keys(ks), first, stop))
     if not flags[-1]:
-        return store_state(decrypt_rounds(load_state(x), ks.round_keys, 0, 1))
+        return store_state(decrypt_rounds(load_state(x), round_keys(ks), 0, 1))
     k0, k1, k2, k3 = w[0]
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 13)[::13].translate(INV_S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)

@@ -147,7 +147,7 @@ def test_footprint_accounting():
         t_tables = 4 * sum(map(len, T_ENC + T_DEC))
         assert sboxes == 512
         assert t_tables == 8192
-        assert sum(map(len, MUL_TABLE.rows)) == 1536
+        assert sum(map(len, MUL_TABLE)) == 1536
         # Base keeps the S-boxes resident; OptF adds the T-tables.
         assert sboxes + t_tables >= 2 * sboxes
 

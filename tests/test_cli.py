@@ -293,6 +293,16 @@ def test_image_mode_cbc_roundtrip(tmp_path, capsys):
     assert dec.read_bytes() == plain.read_bytes()
 
 
+def test_image_mode_cbc_decrypt_without_iv_is_usage_error_before_any_read(tmp_path, capsys):
+    # Checked with the other flag rules, so a missing --in does not turn
+    # it into an input error.
+    out = tmp_path / "out.bmp"
+    assert run("decrypt", "--mode", "cbc", "--format", "bmp-image-mode", "--key-hex", KEY,
+               "--in", str(tmp_path / "absent.bmp"), "--out", str(out)) == EXIT_USAGE
+    assert "--iv-hex" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_image_mode_decrypt_with_wrong_key_is_structurally_valid(tmp_path):
     # image mode carries no padding, so a wrong key yields garbage pixels
     # in a well-formed BMP rather than an integrity failure

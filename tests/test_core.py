@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aeslab import core
 from aeslab.core import (
-    KeySchedule,
     add_round_key,
     decrypt_block,
     encrypt_block,
@@ -77,20 +77,20 @@ def test_state_rejects_wrong_length():
 def test_key_expansion_w4_zero_key():
     ks = key_expansion(bytes(16), 10)
     # word w[4] is column 0 of round key 1
-    assert [ks.round_keys[1][i][0] for i in range(4)] == [0x62, 0x63, 0x63, 0x63]
+    assert [core.round_keys(ks)[1][i][0] for i in range(4)] == [0x62, 0x63, 0x63, 0x63]
     assert [b for w in key_words_oracle(bytes(16), 10)[4:5] for b in w] == [0x62, 0x63, 0x63, 0x63]
 
 
 def test_key_expansion_w4_sequential_key():
     key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     ks = key_expansion(key, 10)
-    assert [ks.round_keys[1][i][0] for i in range(4)] == [0xD6, 0xAA, 0x74, 0xFD]
+    assert [core.round_keys(ks)[1][i][0] for i in range(4)] == [0xD6, 0xAA, 0x74, 0xFD]
     assert list(key_words_oracle(key, 10)[4]) == [0xD6, 0xAA, 0x74, 0xFD]
 
 
 def test_key_expansion_single_round_length():
     ks = key_expansion(bytes(16), 1)
-    assert len(ks.round_keys) == 2
+    assert len(core.round_keys(ks)) == 2
     assert ks.n_r == 1
 
 
@@ -115,22 +115,23 @@ def test_key_expansion_property(key_bytes, n_r, key):
     # as the equivalent inverse cipher's keys (FIPS-197 5.3.5)
     key = key[:key_bytes]
     ks = key_expansion(key, n_r)
-    flat = [rk[i][j] for rk in ks.round_keys for j in range(4) for i in range(4)]
+    round_keys, dec_words = core.round_keys(ks), core.dec_words(ks)
+    flat = [rk[i][j] for rk in round_keys for j in range(4) for i in range(4)]
     assert flat == [b for w in key_words_oracle(key, n_r) for b in w]
-    assert ks.enc_words == tuple(_column_words(rk) for rk in ks.round_keys)
-    assert len(ks.dec_words) == n_r + 1
-    assert ks.dec_words[0] == ks.enc_words[0]
-    assert ks.dec_words[n_r] == ks.enc_words[n_r]
+    assert ks.enc_words == tuple(_column_words(rk) for rk in round_keys)
+    assert len(dec_words) == n_r + 1
+    assert dec_words[0] == ks.enc_words[0]
+    assert dec_words[n_r] == ks.enc_words[n_r]
     for r in range(1, n_r):
-        assert ks.dec_words[r] == _column_words(inv_mix_columns(ks.round_keys[r]))
+        assert dec_words[r] == _column_words(inv_mix_columns(round_keys[r]))
 
 
 def test_key_schedule_is_frozen():
-    # Before and after the derived fields are first read.
+    # Before and after the derived fields are filled.
     for derive in (False, True):
         ks = key_expansion(bytes(16))
         if derive:
-            ks.round_keys, ks.dec_words
+            core.round_keys(ks), core.dec_words(ks)
         for name in ("round_keys", "dec_words", "enc_words", "n_r"):
             with pytest.raises(AttributeError):
                 setattr(ks, name, ks.enc_words)
@@ -155,8 +156,8 @@ def _oracle_schedule(key, n_r):
 
 def test_key_schedule_derived_fields_are_kept():
     ks = key_expansion(bytes(range(24)))
-    assert ks.round_keys is ks.round_keys
-    assert ks.dec_words is ks.dec_words
+    assert core.round_keys(ks) is core.round_keys(ks) is ks.round_keys
+    assert core.dec_words(ks) is core.dec_words(ks) is ks.dec_words
 
 
 @pytest.mark.parametrize("order", [("dec_words", "round_keys"), ("round_keys", "dec_words")])
@@ -166,11 +167,11 @@ def test_key_schedule_derived_fields_in_either_order(order, key_bytes, n_r):
     ks = key_expansion(key, n_r)
     expected = dict(zip(("round_keys", "dec_words"), _oracle_schedule(key, n_r)))
     for name in order:
-        assert getattr(ks, name) == expected[name]
+        assert getattr(core, name)(ks) == expected[name]
 
 
 def test_key_schedule_concurrent_first_reads():
-    # Threads released together read dec_words (and round_keys) of one
+    # Threads released together derive dec_words (and round_keys) of one
     # fresh schedule, with a short switch interval so their derivations
     # interleave; every thread must see the oracle's values.
     rng = random.Random(20)
@@ -186,7 +187,7 @@ def test_key_schedule_concurrent_first_reads():
 
             def read(i, ks=ks, barrier=barrier, seen=seen):
                 barrier.wait()
-                seen[i] = (ks.dec_words, ks.round_keys)
+                seen[i] = (core.dec_words(ks), core.round_keys(ks))
 
             threads = [threading.Thread(target=read, args=(i,)) for i in range(n_threads)]
             for t in threads:
@@ -212,24 +213,15 @@ def test_optf_on_fresh_schedules_round_trips(key_hex, ct_hex):
 
 
 def test_only_baseline_stages_derive_round_key_matrices():
-    # An empty slot raises AttributeError from its descriptor, without
-    # the schedule's derive-on-first-read hook.
-    def derived(ks):
-        try:
-            KeySchedule.round_keys.__get__(ks)
-        except AttributeError:
-            return False
-        return True
-
     key = bytes(range(16))
     data = bytes(range(64))
     ks = key_expansion(key)
     plan = make_plan("optf", ks.n_r)
     ecb_encrypt(data, ks, plan)
     cbc_decrypt(data, ks, bytes(16), plan)
-    assert not derived(ks)
+    assert ks.round_keys is None
     encrypt_block_variant(data[:16], ks, make_plan("opt1", ks.n_r))
-    assert derived(ks)
+    assert ks.round_keys is not None
 
 
 def test_key_expansion_rejects_zero_rounds():
@@ -245,7 +237,7 @@ def test_key_expansion_matches_oracle():
     for key, n_r in cases:
         ks = key_expansion(key, n_r)
         words = key_words_oracle(key, n_r)
-        flat = [ks.round_keys[r][i][j]
+        flat = [core.round_keys(ks)[r][i][j]
                 for r in range(ks.n_r + 1) for j in range(4) for i in range(4)]
         assert flat == [b for w in words for b in w]
 

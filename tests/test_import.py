@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 import aeslab
 from aeslab.core import key_expansion
-from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX
+from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX, ReadOnly
 from aeslab.variants import T_DEC, T_ENC, VARIANTS, make_plan
 
 
@@ -45,7 +46,7 @@ def test_cli_import_leaves_out_subcommand_modules():
 
 @pytest.mark.parametrize("record,field", [
     (S_BOX, 0),
-    (MUL_TABLE, "rows"),
+    (MUL_TABLE, 0),
     (T_ENC, 0),
     (make_plan("opt1", 10), "runs"),
     (key_expansion(bytes(16)), "enc_words"),
@@ -70,8 +71,22 @@ def test_shared_records_are_read_only(record, field):
     assert (record[field] if isinstance(field, int) else getattr(record, field)) is value
 
 
+def test_read_only_records_have_no_lookup_hooks():
+    # A hook on attribute lookup would stop CPython 3.11 specializing the
+    # records' field reads, which the block kernels make on every block.
+    for path in Path(aeslab.__file__).parent.glob("*.py"):
+        if not path.stem.startswith("__"):
+            importlib.import_module(f"aeslab.{path.stem}")
+    records = ReadOnly.__subclasses__()
+    assert sorted(cls.__name__ for cls in records) == ["KeySchedule", "VariantPlan"]
+    for cls in records:
+        assert not hasattr(cls, "__getattr__"), cls
+        assert cls.__getattribute__ is object.__getattribute__, cls
+
+
 def test_shared_tables_are_immutable_values():
     assert type(S_BOX) is bytes and type(INV_S_BOX) is bytes
+    assert type(MUL_TABLE) is tuple and {type(row) for row in MUL_TABLE} == {bytes}
     assert type(T_ENC) is tuple and type(T_DEC) is tuple
     for table in T_ENC + T_DEC:
         assert type(table) is tuple

@@ -237,7 +237,7 @@ def test_blob_roundtrip_ecb(ks):
 def test_blob_roundtrip_cbc_with_iv_prefix(ks):
     rng = random.Random(46)
     data = rng.randbytes(100)
-    blob = encrypt_blob(data, ks, "cbc", BASE, rng=rng)
+    blob = encrypt_blob(data, ks, "cbc", BASE, random_iv(rng))
     iv, ct = blob[:16], blob[16:]
     assert len(ct) == len(pkcs7_pad(data))
     assert cbc_decrypt(ct, ks, iv, BASE) == pkcs7_pad(data)
@@ -247,7 +247,7 @@ def test_blob_roundtrip_cbc_with_iv_prefix(ks):
 
 
 def test_blob_wrong_key_fails_padding(ks):
-    blob = encrypt_blob(b"payload", ks, "cbc", BASE, rng=random.Random(47))
+    blob = encrypt_blob(b"payload", ks, "cbc", BASE, random_iv(random.Random(47)))
     other = key_expansion(bytes(16))
     with pytest.raises(PaddingError):
         decrypt_blob(blob, other, "cbc", BASE)
@@ -303,7 +303,7 @@ def test_piece_boundaries_are_invisible(ks, mode):
     if mode == "cbc":
         # A drawn IV is the generator's next 16 bytes and leads the layout.
         data = message[:100]
-        blob = encrypt_blob(data, ks, mode, plan, rng=random.Random(51))
+        blob = encrypt_blob(data, ks, mode, plan, random_iv(random.Random(51)))
         drawn = random.Random(51).randbytes(16)
         assert blob == encrypt_blob(data, ks, mode, plan, drawn)
 
@@ -404,6 +404,8 @@ def test_wrappers_enforce_mode_rules(ks):
         encrypt_with_residual(bytes(32), ks, "cbc", BASE)
     with pytest.raises(ValueError, match="CBC requires an IV"):
         decrypt_with_residual(bytes(32), ks, "cbc", BASE)
+    with pytest.raises(ValueError, match="CBC requires an IV"):
+        encrypt_blob(b"x", ks, "cbc", BASE)
     with pytest.raises(ValueError, match="ECB must not carry an IV"):
         encrypt_blob(b"x", ks, "ecb", BASE, iv=bytes(16))
     with pytest.raises(ValueError, match="ECB must not carry an IV"):
