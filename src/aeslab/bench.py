@@ -131,10 +131,11 @@ def _verify_then_measure(cells: list, repetitions: int, warmup: int) -> list:
     """(key, samples) for each (key, fn, expected) cell.  Every fn's
     output is checked before any timing starts, and that call counts as
     the first of its `warmup` untimed passes.  expected is None for a
-    cell whose output is a reference: the call that produced the
-    reference was that first pass.  The repetitions then run round-robin
-    across the cells, so a transient load spike lands on one repetition
-    of many cells instead of every repetition of one cell."""
+    cell its caller checked: in the matrix, the call that produced the
+    reference output was that first pass.  The repetitions then run
+    round-robin across the cells, so a transient load spike lands on
+    one repetition of many cells instead of every repetition of one
+    cell."""
     for key, fn, expected in cells:
         if expected is not None and fn() != expected:
             raise AssertionError(f"{'/'.join(map(str, key))} output disagrees with baseline")
@@ -238,73 +239,52 @@ TRANSFORM_PATHS = {
 }
 
 
-def microbench_transform(
-    name: str,
-    variant: str,
-    iterations: int = 1_000_000,
-    repetitions: int = 5,
-    seed: int = 0,
-) -> BenchResult:
-    """Time one transform path over `iterations` state applications.
+def microbench_all(iterations: int = 1_000_000, repetitions: int = 5, seed: int = 0) -> list:
+    """Time the base and opt path of every transform over `iterations`
+    state applications each.
 
-    variant "base" runs the plain-loop transform, "opt" its optimized
-    counterpart (unrolled, or table-driven for mix_columns).  Before
-    the warm-up, its output on every state of the 64-state pool is
-    checked against the base transform.  The applications are split
-    into `repetitions` timed chunks; size_bytes holds the chunk size,
-    so throughput reads as applications/second.
+    The 64-state pool and the AddRoundKey round key come from a
+    generator seeded with `seed`.  Every opt path's output on every
+    pool state is checked against its base path before anything is
+    timed.  Each cell's applications are split into `repetitions`
+    chunks, which run round-robin across the eight cells after one
+    untimed chunk each; size_bytes holds the chunk size, so throughput
+    reads as applications/second.
     """
     if iterations < repetitions:
         raise ValueError(
             f"iterations must be >= repetitions, got {iterations} < {repetitions}"
         )
-    try:
-        base_fn, opt_fn = TRANSFORM_PATHS[name]
-    except KeyError:
-        raise ValueError(f"unknown transform {name!r}") from None
-    if variant == "base":
-        fn = base_fn
-    elif variant == "opt":
-        fn = opt_fn
-    else:
-        raise ValueError(f"variant must be 'base' or 'opt', got {variant!r}")
-
     rng = random.Random(seed)
     pool = [
         [[rng.randrange(256) for _ in range(4)] for _ in range(4)]
         for _ in range(64)
     ]
-    if name == "add_round_key":
-        rk = [[rng.randrange(256) for _ in range(4)] for _ in range(4)]
-        bind = lambda f: lambda s: f(s, rk)
-    else:
-        bind = lambda f: f
-    apply_fn = bind(fn)
-    apply_base = bind(base_fn)
-    if any(apply_fn(s) != apply_base(s) for s in pool):
-        raise AssertionError(f"{name}/{variant} output disagrees with baseline")
-
+    rk = [[rng.randrange(256) for _ in range(4)] for _ in range(4)]
     chunk = iterations // repetitions
 
-    def run_chunk():
-        for i in range(chunk):
-            apply_fn(pool[i & 63])
+    def chunk_runner(apply_fn):
+        def run_chunk():
+            for i in range(chunk):
+                apply_fn(pool[i & 63])
+        return run_chunk
 
-    run_chunk()  # warmup
-    samples = [_time_call(run_chunk) for _ in range(repetitions)]
-    result = _result(
-        f"{name}/{variant}/x{chunk * repetitions}", chunk, 0, 0, variant,
-        "state", name, samples, 1,
-    )
-    return result
-
-
-def microbench_all(iterations: int = 1_000_000, repetitions: int = 5, seed: int = 0) -> list:
-    results = []
-    for name in TRANSFORM_PATHS:
-        for variant in ("base", "opt"):
-            results.append(microbench_transform(name, variant, iterations, repetitions, seed))
-    return results
+    cells = []
+    for name, (base_fn, opt_fn) in TRANSFORM_PATHS.items():
+        if name == "add_round_key":
+            base_fn, opt_fn = (lambda s, f=f: f(s, rk) for f in (base_fn, opt_fn))
+        if any(opt_fn(s) != base_fn(s) for s in pool):
+            raise AssertionError(f"{name}/opt output disagrees with baseline")
+        cells += [((name, "base"), chunk_runner(base_fn), None),
+                  ((name, "opt"), chunk_runner(opt_fn), None)]
+    # The pool check above stands in for the output check, the first
+    # untimed pass, so warmup 2 leaves one untimed chunk per cell.
+    measured = _verify_then_measure(cells, repetitions, 2)
+    return [
+        _result(f"{name}/{variant}/x{chunk * repetitions}", chunk, 0, 0, variant,
+                "state", name, samples, 1)
+        for (name, variant), samples in measured
+    ]
 
 
 # ---------------------------------------------------------------------------

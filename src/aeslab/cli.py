@@ -203,19 +203,22 @@ def _parse_image(label: str, data: bytes):
 def _cmd_crypt(args) -> int:
     if args.rounds is not None and args.rounds < 1:
         raise UsageError(f"--rounds must be >= 1, got {args.rounds}")
+    # The flag-only rules come before the key is read, so a usage error
+    # is not hidden behind a bad key.
+    if args.mode == "ecb" and args.iv_hex is not None:
+        raise UsageError("--iv-hex is forbidden for ECB")
+    draws_iv = args.command == "encrypt" and args.mode == "cbc" and args.iv_hex is None
+    if args.seed is not None and not draws_iv:
+        raise UsageError("--seed is forbidden here: it seeds only the IV that "
+                         "CBC encrypt draws without --iv-hex")
+    if (args.format != "raw" and args.command == "decrypt" and args.mode == "cbc"
+            and args.iv_hex is None):
+        raise UsageError("bmp-image-mode CBC decrypt needs --iv-hex "
+                         "(the image file carries no IV)")
     key = _load_key(args)
     ks = key_expansion(key, args.rounds)
     plan = make_plan(args.variant, ks.n_r)
     iv = _parse_iv(args)
-    if args.mode == "ecb" and iv is not None:
-        raise UsageError("--iv-hex is forbidden for ECB")
-    draws_iv = args.command == "encrypt" and args.mode == "cbc" and iv is None
-    if args.seed is not None and not draws_iv:
-        raise UsageError("--seed is forbidden here: it seeds only the IV that "
-                         "CBC encrypt draws without --iv-hex")
-    if args.format != "raw" and args.command == "decrypt" and args.mode == "cbc" and iv is None:
-        raise UsageError("bmp-image-mode CBC decrypt needs --iv-hex "
-                         "(the image file carries no IV)")
     if draws_iv:
         iv = modes.random_iv(random.Random(args.seed) if args.seed is not None else None)
     data = _read_file(args.in_path)
@@ -227,12 +230,7 @@ def _cmd_crypt(args) -> int:
             pieces = modes.decrypt_pieces(data, ks, args.mode, plan, iv)
         # Every input or integrity error raises before the first piece,
         # so a failed run neither creates nor truncates --out.
-        try:
-            first = next(pieces)
-        except PaddingError:
-            raise  # handled in dispatch with the integrity exit code
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        first = next(pieces)
         out = itertools.chain((first,), pieces)
     else:
         img = _parse_image(args.in_path, data)
@@ -312,8 +310,8 @@ def _cmd_bench(args) -> int:
     matrix = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.micro is not None and matrix:
         raise UsageError(f"--micro takes no {', '.join(map(_flag, matrix))}")
-    # BenchConfig and microbench_transform check these too, but name
-    # their parameters, not the flags.
+    # BenchConfig and microbench_all check these too, but name their
+    # parameters, not the flags.
     if args.reps < 3:
         raise UsageError(f"--reps must be >= 3, got {args.reps}")
     if args.warmup is not None and args.warmup < 0:

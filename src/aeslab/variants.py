@@ -3,8 +3,10 @@
 Three tiers, all bit-compatible with the baseline:
 
 * loop-unrolled transformations (the per-function optimizations);
-* table-driven MixColumns via the 6x256 product table, so no
-  shift-and-xor multiplication executes on the data path;
+* table-driven MixColumns (table_mix_columns) via the 6x256 product
+  table, with no shift-and-xor multiplication.  Only the transform
+  microbenchmarks run it: every Base round, Opt1's and Opt2's
+  included, multiplies with core's gf_mul;
 * fused T-table rounds: one set of four 256x4-byte tables per direction
   combines SubBytes, ShiftRows, and MixColumns into four lookups plus
   XORs per output column (8 KiB total for both directions).

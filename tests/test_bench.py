@@ -11,7 +11,6 @@ from aeslab.bench import (
     emit_report,
     microbench_all,
     microbench_gain_lines,
-    microbench_transform,
     run_matrix,
     sweep_growth_lines,
     variant_gain_lines,
@@ -141,35 +140,59 @@ def test_round_sweep_interleaves_round_counts(monkeypatch):
 
 
 def test_microbench_mechanics():
-    r = microbench_transform("sub_bytes", "base", iterations=600, repetitions=3)
-    assert isinstance(r, BenchResult)
-    assert r.op == "sub_bytes"
-    assert r.variant == "base"
-    assert r.median_s > 0
-    with pytest.raises(ValueError):
-        microbench_transform("mystery", "base")
-    with pytest.raises(ValueError):
-        microbench_transform("sub_bytes", "quick")
+    results = microbench_all(iterations=600, repetitions=3)
+    assert [(r.op, r.variant) for r in results] == [
+        (name, variant) for name in bench.TRANSFORM_PATHS for variant in ("base", "opt")
+    ]
+    for r in results:
+        assert isinstance(r, BenchResult)
+        assert r.label == f"{r.op}/{r.variant}/x600"
+        assert (r.size_bytes, r.mode, r.repetitions, r.warmup) == (200, "state", 3, 1)
+        assert r.median_s > 0
     with pytest.raises(ValueError, match="iterations must be >= repetitions, got 2 < 3"):
-        microbench_transform("sub_bytes", "base", iterations=2, repetitions=3)
+        microbench_all(iterations=2, repetitions=3)
 
 
 def test_microbench_checks_opt_transform_before_timing(monkeypatch):
-    # A wrong optimized path is refused before any timed chunk runs.
+    # A wrong optimized path is refused before any chunk is timed.
+    def timed(fn):
+        raise AssertionError("a chunk was timed")
+
+    monkeypatch.setattr(bench, "_time_call", timed)
     monkeypatch.setitem(bench.TRANSFORM_PATHS, "sub_bytes", (core.sub_bytes, core.inv_sub_bytes))
     with pytest.raises(AssertionError, match="sub_bytes/opt output disagrees with baseline"):
-        microbench_transform("sub_bytes", "opt", iterations=30, repetitions=3)
-    assert microbench_transform("sub_bytes", "base", iterations=30, repetitions=3).variant == "base"
+        microbench_all(iterations=30, repetitions=3)
+
+
+def test_microbench_chunks_run_round_robin(monkeypatch):
+    # Each repetition times one chunk of every cell, in cell order, so a
+    # load spike lands on one repetition of many cells.
+    label = {}
+    timed = []
+    measure, time_call = bench._verify_then_measure, bench._time_call
+
+    def recording_measure(cells, repetitions, warmup):
+        label.update((fn, key) for key, fn, _expected in cells)
+        return measure(cells, repetitions, warmup)
+
+    def recording_time_call(fn):
+        timed.append(label[fn])
+        return time_call(fn)
+
+    monkeypatch.setattr(bench, "_verify_then_measure", recording_measure)
+    monkeypatch.setattr(bench, "_time_call", recording_time_call)
+    microbench_all(iterations=30, repetitions=3)
+    cells = [(name, variant) for name in bench.TRANSFORM_PATHS for variant in ("base", "opt")]
+    assert timed == cells * 3
 
 
 def test_optimized_paths_run_faster():
     # modest iteration counts keep this quick; comparing best-of-reps
     # filters scheduler noise, and the gaps are wide enough (no inner
     # loop / no shift-and-xor multiply) to dominate what remains
+    results = {(r.op, r.variant): r for r in microbench_all(iterations=30_000, repetitions=3)}
     for name in ("add_round_key", "sub_bytes", "shift_rows", "mix_columns"):
-        base = microbench_transform(name, "base", iterations=30_000, repetitions=3)
-        opt = microbench_transform(name, "opt", iterations=30_000, repetitions=3)
-        assert opt.min_s < base.min_s, name
+        assert results[name, "opt"].min_s < results[name, "base"].min_s, name
 
 
 def test_emit_report_csv(small_results):

@@ -303,6 +303,21 @@ def test_image_mode_cbc_decrypt_without_iv_is_usage_error_before_any_read(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "encrypt --mode ecb --key-hex zz --iv-hex 000102030405060708090a0b0c0d0e0f",
+    "decrypt --mode ecb --key-hex 0011 --seed 3",
+    "decrypt --mode cbc --format bmp-image-mode --key-hex zz",
+], ids=["ecb-iv", "seed-without-draw", "image-cbc-decrypt-no-iv"])
+def test_flag_rules_come_before_the_key(tmp_path, capsys, raw_file, argv):
+    # A usage error is not hidden behind a malformed or short key.
+    out = tmp_path / "out.bin"
+    assert run(*shlex.split(argv), "--in", str(raw_file), "--out", str(out)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_image_mode_decrypt_with_wrong_key_is_structurally_valid(tmp_path):
     # image mode carries no padding, so a wrong key yields garbage pixels
     # in a well-formed BMP rather than an integrity failure
