@@ -54,15 +54,12 @@ class BenchConfig:
     modes: tuple = MODES
     ops: tuple = ("encrypt",)
     repetitions: int = 5
-    warmup: int = 1
     seed: int = 0
     rounds: tuple | None = None  # None = standard count for each key size
 
     def __post_init__(self):
         if self.repetitions < 3:
             raise ValueError(f"repetitions must be >= 3, got {self.repetitions}")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
         if any(s <= 0 for s in self.sizes):
             raise ValueError("payload sizes must be positive")
         for n_r in self.rounds or ():
@@ -127,21 +124,17 @@ def _expand(key: bytes, n_r: int | None, repetitions: int):
     return ks, expand_s
 
 
-def _verify_then_measure(cells: list, repetitions: int, warmup: int) -> list:
+def _verify_then_measure(cells: list, repetitions: int) -> list:
     """(key, samples) for each (key, fn, expected) cell.  Every fn's
-    output is checked before any timing starts, and that call counts as
-    the first of its `warmup` untimed passes.  expected is None for a
-    cell its caller checked: in the matrix, the call that produced the
-    reference output was that first pass.  The repetitions then run
-    round-robin across the cells, so a transient load spike lands on
-    one repetition of many cells instead of every repetition of one
-    cell."""
+    output is checked before any timing starts, and that call is the
+    cell's one untimed pass.  expected is None for a cell its caller
+    has already run once: in the matrix, the call that produced the
+    reference output.  The repetitions then run round-robin across the
+    cells, so a transient load spike lands on one repetition of many
+    cells instead of every repetition of one cell."""
     for key, fn, expected in cells:
         if expected is not None and fn() != expected:
             raise AssertionError(f"{'/'.join(map(str, key))} output disagrees with baseline")
-    for _key, fn, _expected in cells:
-        for _ in range(warmup - 1):
-            fn()
     samples = [[] for _ in cells]
     for _ in range(repetitions):
         for i, (_key, fn, _expected) in enumerate(cells):
@@ -150,7 +143,7 @@ def _verify_then_measure(cells: list, repetitions: int, warmup: int) -> list:
 
 
 def _result(label, size_bytes, key_bits, n_r, variant, mode, op,
-            samples, warmup, expand_s=0.0, pad_s=0.0) -> BenchResult:
+            samples, expand_s=0.0, pad_s=0.0) -> BenchResult:
     median = statistics.median(samples)
     return BenchResult(
         label=label,
@@ -161,7 +154,7 @@ def _result(label, size_bytes, key_bits, n_r, variant, mode, op,
         mode=mode,
         op=op,
         repetitions=len(samples),
-        warmup=warmup,
+        warmup=1,  # every cell's one untimed pass
         median_s=median,
         mean_s=statistics.fmean(samples),
         std_s=statistics.stdev(samples) if len(samples) > 1 else 0.0,
@@ -221,12 +214,12 @@ def run_matrix(cfg: BenchConfig) -> list:
                             fn, data, expected = op_cells[op]
                             fn = partial(fn, data, ks, mode, plan, mode_iv)
                             cells.append(((n_r, variant, mode, op), fn, expected))
-                measured = _verify_then_measure(cells, cfg.repetitions, cfg.warmup)
+                measured = _verify_then_measure(cells, cfg.repetitions)
                 for (n_r, variant, mode, op), samples in measured:
                     label = f"{size}B/{key_bits}k/{n_r}r/{variant}/{mode}/{op}"
                     results.append(_result(
                         label, len(padded), key_bits, n_r, variant, mode,
-                        op, samples, max(cfg.warmup, 1), expand_s[n_r], pad_s,
+                        op, samples, expand_s[n_r], pad_s,
                     ))
     return results
 
@@ -277,12 +270,14 @@ def microbench_all(iterations: int = 1_000_000, repetitions: int = 5, seed: int 
             raise AssertionError(f"{name}/opt output disagrees with baseline")
         cells += [((name, "base"), chunk_runner(base_fn), None),
                   ((name, "opt"), chunk_runner(opt_fn), None)]
-    # The pool check above stands in for the output check, the first
-    # untimed pass, so warmup 2 leaves one untimed chunk per cell.
-    measured = _verify_then_measure(cells, repetitions, 2)
+    # The pool check above is the output check, so each cell's one
+    # untimed pass is a chunk run here.
+    for _key, fn, _expected in cells:
+        fn()
+    measured = _verify_then_measure(cells, repetitions)
     return [
         _result(f"{name}/{variant}/x{chunk * repetitions}", chunk, 0, 0, variant,
-                "state", name, samples, 1)
+                "state", name, samples)
         for (name, variant), samples in measured
     ]
 

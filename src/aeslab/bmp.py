@@ -123,19 +123,16 @@ def make_test_image(pattern: str, width: int, height: int) -> BmpImage:
     # The header stores the file size in 4 bytes; check before building pixels.
     if HEADER_SIZE + stride * height >= 2**32:
         raise ValueError(f"a {width}x{height} bitmap does not fit in a BMP file (4 GiB limit)")
-    name = pattern.lower()
-    if name == "single-object":
-        name = "single-object-on-plain-background"
 
-    if name == "constant-color":
+    if pattern == "constant-color":
         pixels = bytes([_CONSTANT_GRAY]) * (stride * height)
-    elif name == "two-zone":
+    elif pattern == "two-zone":
         top = bytes([_ZONE_GRAYS[0]]) * stride
         bottom = bytes([_ZONE_GRAYS[1]]) * stride
         split = height // 2
         # rows are stored bottom-up; visually the first zone is on top
         pixels = bottom * (height - split) + top * split
-    elif name == "gradient":
+    elif pattern == "gradient":
         rows = []
         for y in range(height):
             row = bytearray(stride)
@@ -145,7 +142,7 @@ def make_test_image(pattern: str, width: int, height: int) -> BmpImage:
                 row[3 * x + 2] = (x + y) & 0xFF
             rows.append(bytes(row))
         pixels = b"".join(rows)
-    elif name == "single-object-on-plain-background":
+    elif pattern == "single-object-on-plain-background":
         x0, x1 = width // 4, 3 * width // 4
         y0, y1 = height // 4, 3 * height // 4
         bg_row = bytes([_BACKGROUND_GRAY]) * stride

@@ -37,7 +37,7 @@ class UsageError(Exception):
     pass
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed the IV that CBC encrypt draws without --iv-hex (testing only)")
 
     p = sub.add_parser("make-image", help="generate a synthetic 24-bit BMP test image")
-    p.add_argument("--pattern", required=True,
-                   choices=bmp.TEST_PATTERNS + ("single-object",))
+    p.add_argument("--pattern", required=True, choices=bmp.TEST_PATTERNS)
     p.add_argument("--width", type=int, default=200)
     p.add_argument("--height", type=int, default=200)
     p.add_argument("--out", dest="out_path", required=True)
@@ -103,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", help=f"matrix modes (default: {','.join(MODES)})")
     p.add_argument("--ops", help="matrix ops (default: encrypt)")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=None,
-                   help="untimed passes per cell before timing, the output check "
-                        "being the first (default: 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", default=None,
                    help="comma-separated matrix round counts, e.g. 2,4,6,8,10 for a "
@@ -184,15 +180,6 @@ def _load_key(args) -> bytes:
     return key
 
 
-def _parse_iv(args) -> bytes | None:
-    if args.iv_hex is None:
-        return None
-    iv = _parse_hex(args.iv_hex, "--iv-hex")
-    if len(iv) != 16:
-        raise InputError(f"IV must be 16 bytes, got {len(iv)}")
-    return iv
-
-
 def _parse_image(label: str, data: bytes):
     try:
         return bmp.parse_bmp(data)
@@ -218,7 +205,8 @@ def _cmd_crypt(args) -> int:
     key = _load_key(args)
     ks = key_expansion(key, args.rounds)
     plan = make_plan(args.variant, ks.n_r)
-    iv = _parse_iv(args)
+    # modes checks the IV length before any output is written.
+    iv = None if args.iv_hex is None else _parse_hex(args.iv_hex, "--iv-hex")
     if draws_iv:
         iv = modes.random_iv(random.Random(args.seed) if args.seed is not None else None)
     data = _read_file(args.in_path)
@@ -306,7 +294,7 @@ def _cmd_bench(args) -> int:
     from . import bench
 
     # The options that shape the matrix; --micro refuses them.
-    names = ("sizes", "warmup", "key_sizes", "variants", "modes", "ops", "rounds")
+    names = ("sizes", "key_sizes", "variants", "modes", "ops", "rounds")
     matrix = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.micro is not None and matrix:
         raise UsageError(f"--micro takes no {', '.join(map(_flag, matrix))}")
@@ -314,8 +302,6 @@ def _cmd_bench(args) -> int:
     # parameters, not the flags.
     if args.reps < 3:
         raise UsageError(f"--reps must be >= 3, got {args.reps}")
-    if args.warmup is not None and args.warmup < 0:
-        raise UsageError(f"--warmup must be >= 0, got {args.warmup}")
     if args.micro is not None and args.micro < args.reps:
         raise UsageError(f"--micro must be >= --reps, got {args.micro} < {args.reps}")
     common = {"repetitions": args.reps, "seed": args.seed}
@@ -327,7 +313,7 @@ def _cmd_bench(args) -> int:
         for name, value in matrix.items():
             if name in ("sizes", "key_sizes", "rounds"):
                 matrix[name] = _split_ints(value, _flag(name))
-            elif name != "warmup":
+            else:
                 matrix[name] = tuple(value.split(","))
         try:
             cfg = bench.BenchConfig(**common, **matrix)
@@ -336,10 +322,10 @@ def _cmd_bench(args) -> int:
         results = bench.run_matrix(cfg)
         summary = bench.variant_gain_lines(results) + bench.sweep_growth_lines(results)
 
-    report = bench.emit_report(results, args.report)
-    _write_text(args.out_path, report)
+    _write_text(args.out_path, bench.emit_report(results, args.report))
+    # Without --out, stdout holds the report alone.
     for line in summary:
-        print(line)
+        print(line, file=sys.stderr if args.out_path is None else sys.stdout)
     return EXIT_OK
 
 
@@ -355,16 +341,16 @@ def _cmd_cost(args) -> int:
             rows = costmodel.cost_grid_rows(t_a=args.ta, t_o=args.to, t_s=args.ts)
             lines = ["nb,nr,key_bits,encrypt_cycles,decrypt_cycles"]
             lines += [f"{nb},{nr},{kb},{e:g},{d:g}" for nb, nr, kb, e, d in rows]
-            _write_text(args.out_path, "\n".join(lines) + "\n")
+            text = "\n".join(lines) + "\n"
         else:
             p = costmodel.CostParams(4 if args.nb is None else args.nb,
                                      10 if args.nr is None else args.nr,
                                      args.ta, args.to, args.ts)
             text = (f"encrypt: {costmodel.encrypt_cycles(p):g}\n"
                     f"decrypt: {costmodel.decrypt_cycles(p):g}\n")
-            _write_text(args.out_path, text)
     except ValueError as e:
         raise UsageError(str(e)) from e
+    _write_text(args.out_path, text)
     return EXIT_OK
 
 
@@ -392,9 +378,6 @@ def dispatch(argv=None) -> int:
     except PaddingError as e:
         print(f"integrity error: {e} (wrong key, IV, or corrupted data?)", file=sys.stderr)
         return EXIT_INTEGRITY
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -141,6 +141,20 @@ def _check_iv(mode: str, iv: bytes | None) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _encrypt(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None) -> bytes:
+    """ECB when iv is None, else CBC chained from iv."""
+    if iv is None:
+        return ecb_encrypt(piece, ks, plan)
+    return cbc_encrypt(piece, ks, iv, plan)
+
+
+def _decrypt(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None) -> bytes:
+    """ECB when iv is None, else CBC chained from iv."""
+    if iv is None:
+        return ecb_decrypt(piece, ks, plan)
+    return cbc_decrypt(piece, ks, iv, plan)
+
+
 def encrypt_pieces(
     data: bytes,
     ks: KeySchedule,
@@ -155,22 +169,12 @@ def encrypt_pieces(
     if iv is not None:
         yield iv
     last = len(data) - len(data) % CHUNK  # where the padded piece starts
-    prev = iv
     for i in range(0, last + 1, CHUNK):
         piece = data[i:i + CHUNK] if i < last else pkcs7_pad(data[last:])
-        if prev is None:
-            yield ecb_encrypt(piece, ks, plan)
-        else:
-            piece = cbc_encrypt(piece, ks, prev, plan)
-            prev = piece[-BLOCK_SIZE:]
-            yield piece
-
-
-def _decrypt_piece(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None) -> bytes:
-    """ECB when iv is None, else CBC chained from iv."""
-    if iv is None:
-        return ecb_decrypt(piece, ks, plan)
-    return cbc_decrypt(piece, ks, iv, plan)
+        piece = _encrypt(piece, ks, plan, iv)
+        if iv is not None:
+            iv = piece[-BLOCK_SIZE:]
+        yield piece
 
 
 def decrypt_pieces(
@@ -194,18 +198,17 @@ def decrypt_pieces(
         iv, start = blob[:BLOCK_SIZE], BLOCK_SIZE
     _check_iv(mode, iv)
     if len(blob) - start <= CHUNK:
-        yield pkcs7_unpad(_decrypt_piece(blob[start:], ks, plan, iv))
+        yield pkcs7_unpad(_decrypt(blob[start:], ks, plan, iv))
         return
     _require_aligned(len(blob) - start)
     last = len(blob) - BLOCK_SIZE
-    tail = pkcs7_unpad(_decrypt_piece(
+    tail = pkcs7_unpad(_decrypt(
         blob[last:], ks, plan, None if iv is None else blob[last - BLOCK_SIZE:last]))
-    prev = iv
     for i in range(start, last, CHUNK):
         j = min(i + CHUNK, last)
-        yield _decrypt_piece(blob[i:j], ks, plan, prev)
-        if prev is not None:
-            prev = blob[j - BLOCK_SIZE:j]
+        yield _decrypt(blob[i:j], ks, plan, iv)
+        if iv is not None:
+            iv = blob[j - BLOCK_SIZE:j]
     yield tail
 
 
@@ -246,10 +249,7 @@ def encrypt_with_residual(
     the IV is NOT embedded and must travel out of band for CBC)."""
     _check_iv(mode, iv)
     cut = len(data) - len(data) % BLOCK_SIZE
-    head, tail = data[:cut], data[cut:]
-    if iv is None:
-        return ecb_encrypt(head, ks, plan) + tail
-    return cbc_encrypt(head, ks, iv, plan) + tail
+    return _encrypt(data[:cut], ks, plan, iv) + data[cut:]
 
 
 def decrypt_with_residual(
@@ -261,7 +261,4 @@ def decrypt_with_residual(
 ) -> bytes:
     _check_iv(mode, iv)
     cut = len(data) - len(data) % BLOCK_SIZE
-    head, tail = data[:cut], data[cut:]
-    if iv is None:
-        return ecb_decrypt(head, ks, plan) + tail
-    return cbc_decrypt(head, ks, iv, plan) + tail
+    return _decrypt(data[:cut], ks, plan, iv) + data[cut:]

@@ -104,7 +104,7 @@ def make_plan(variant_id: str, n_r: int) -> VariantPlan:
     if n_r < 1:
         raise ValueError(f"round count must be >= 1, got {n_r}")
     try:
-        pattern = VARIANTS[variant_id.lower()]
+        pattern = VARIANTS[variant_id]
     except KeyError:
         raise ValueError(f"unknown variant {variant_id!r}") from None
     return VariantPlan(tuple(pattern[i % len(pattern)] for i in range(n_r)))

@@ -164,7 +164,6 @@ def test_performance_direction():
             modes=("ecb",),
             ops=("encrypt",),
             repetitions=3,
-            warmup=1,
             seed=2001,
         ))
         by_cell = {}
@@ -186,7 +185,6 @@ def test_performance_direction():
             modes=("ecb",),
             ops=("encrypt", "decrypt"),
             repetitions=3,
-            warmup=1,
             seed=2003,
         ))
         by_op = {r.op: r for r in direction}
@@ -207,7 +205,7 @@ def test_performance_direction():
             "rounds": (2, 4, 6, 8, 10),
         }
         sweep = run_matrix(BenchConfig(**{
-            **round_sweep, "sizes": (16 * 1024,), "repetitions": 9, "warmup": 1, "seed": 2004,
+            **round_sweep, "sizes": (16 * 1024,), "repetitions": 9, "seed": 2004,
         }))
         growth = {}
         for op in ("encrypt", "decrypt"):

@@ -23,7 +23,6 @@ SMALL = BenchConfig(
     modes=("ecb",),
     ops=("encrypt",),
     repetitions=3,
-    warmup=0,
     seed=5,
 )
 
@@ -48,8 +47,6 @@ def test_config_validation():
         BenchConfig(repetitions=2)
     with pytest.raises(ValueError):
         BenchConfig(sizes=(0,))
-    with pytest.raises(ValueError):
-        BenchConfig(warmup=-1)
     # every name a cell would misread or fail on is refused up front
     with pytest.raises(ValueError, match="unknown key size 512"):
         BenchConfig(key_sizes=(128, 512))
@@ -103,7 +100,7 @@ def test_matrix_is_reproducible_modulo_timing():
 def test_matrix_covers_modes_and_decrypt():
     cfg = BenchConfig(sizes=(512,), key_sizes=(128,), variants=("base",),
                       modes=("ecb", "cbc"), ops=("encrypt", "decrypt"),
-                      repetitions=3, warmup=0, seed=6)
+                      repetitions=3, seed=6)
     results = run_matrix(cfg)
     assert {(r.mode, r.op) for r in results} == {
         ("ecb", "encrypt"), ("ecb", "decrypt"), ("cbc", "encrypt"), ("cbc", "decrypt"),
@@ -112,7 +109,7 @@ def test_matrix_covers_modes_and_decrypt():
 
 def test_round_sweep_mechanics():
     results = run_matrix(BenchConfig(**{**ROUND_SWEEP, "sizes": (1024,), "rounds": (1, 2),
-                                        "repetitions": 3, "warmup": 0, "seed": 7}))
+                                        "repetitions": 3, "seed": 7}))
     assert len(results) == 4  # 2 round counts x encrypt/decrypt
     assert {r.n_r for r in results} == {1, 2}
     assert {r.op for r in results} == {"encrypt", "decrypt"}
@@ -127,13 +124,13 @@ def test_round_sweep_interleaves_round_counts(monkeypatch):
     calls = []
     measure = bench._verify_then_measure
 
-    def recording(cells, repetitions, warmup):
+    def recording(cells, repetitions):
         calls.append({(key[0], key[-1]) for key, _fn, _expected in cells})
-        return measure(cells, repetitions, warmup)
+        return measure(cells, repetitions)
 
     monkeypatch.setattr(bench, "_verify_then_measure", recording)
     results = run_matrix(BenchConfig(**{**ROUND_SWEEP, "sizes": (64, 128), "rounds": (1, 2),
-                                        "repetitions": 3, "warmup": 0, "seed": 7}))
+                                        "repetitions": 3, "seed": 7}))
     cells = {(n_r, op) for n_r in (1, 2) for op in ("encrypt", "decrypt")}
     assert calls == [cells, cells]  # one call per size
     assert len(results) == 8
@@ -166,24 +163,41 @@ def test_microbench_checks_opt_transform_before_timing(monkeypatch):
 
 def test_microbench_chunks_run_round_robin(monkeypatch):
     # Each repetition times one chunk of every cell, in cell order, so a
-    # load spike lands on one repetition of many cells.
+    # load spike lands on one repetition of many cells.  Before the first
+    # timed chunk, every transform has run over the 64-state pool (the
+    # output check) and one untimed chunk of 10 applications.
     label = {}
     timed = []
+    applied = {}
+    applied_before_timing = []
     measure, time_call = bench._verify_then_measure, bench._time_call
 
-    def recording_measure(cells, repetitions, warmup):
+    def counting(cell, fn):
+        def apply(*args):
+            applied[cell] = applied.get(cell, 0) + 1
+            return fn(*args)
+        return apply
+
+    def recording_measure(cells, repetitions):
         label.update((fn, key) for key, fn, _expected in cells)
-        return measure(cells, repetitions, warmup)
+        return measure(cells, repetitions)
 
     def recording_time_call(fn):
+        if not timed:
+            applied_before_timing.append(dict(applied))
         timed.append(label[fn])
         return time_call(fn)
 
+    for name, (base_fn, opt_fn) in list(bench.TRANSFORM_PATHS.items()):
+        monkeypatch.setitem(bench.TRANSFORM_PATHS, name, (counting((name, "base"), base_fn),
+                                                          counting((name, "opt"), opt_fn)))
     monkeypatch.setattr(bench, "_verify_then_measure", recording_measure)
     monkeypatch.setattr(bench, "_time_call", recording_time_call)
     microbench_all(iterations=30, repetitions=3)
     cells = [(name, variant) for name in bench.TRANSFORM_PATHS for variant in ("base", "opt")]
     assert timed == cells * 3
+    assert applied_before_timing == [{cell: 64 + 10 for cell in cells}]
+    assert applied == {cell: 64 + 10 + 3 * 10 for cell in cells}
 
 
 def test_optimized_paths_run_faster():
@@ -270,10 +284,9 @@ def test_results_record_dispersion(small_results):
         assert r.std_s <= samples_spread + 1e-12 or samples_spread == 0
 
 
-@pytest.mark.parametrize("warmup", [0, 1, 2])
-def test_matrix_output_check_is_first_warmup_pass(monkeypatch, warmup):
+def test_matrix_output_check_is_first_warmup_pass(monkeypatch):
     # The Base encrypt cell's checked run is also the reference, and every
-    # cell's checked run is its first untimed pass.
+    # cell's checked run is its one untimed pass.
     runs = []
     encrypt = bench.encrypt_with_residual
 
@@ -283,9 +296,7 @@ def test_matrix_output_check_is_first_warmup_pass(monkeypatch, warmup):
 
     monkeypatch.setattr(bench, "encrypt_with_residual", counting)
     cfg = BenchConfig(sizes=(64,), key_sizes=(128,), variants=("base", "optf"),
-                      modes=("ecb",), ops=("encrypt",), repetitions=3,
-                      warmup=warmup, seed=5)
+                      modes=("ecb",), ops=("encrypt",), repetitions=3, seed=5)
     results = run_matrix(cfg)
-    untimed = max(warmup, 1)
-    assert runs.count("base") == runs.count("optf") == untimed + 3
-    assert [r.warmup for r in results] == [untimed, untimed]
+    assert runs.count("base") == runs.count("optf") == 1 + 3
+    assert [r.warmup for r in results] == [1, 1]

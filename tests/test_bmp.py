@@ -186,14 +186,15 @@ def test_single_object_has_two_gray_levels():
     for y in range(64):
         seen |= set(img.pixels[y * img.row_stride:y * img.row_stride + row_bytes])
     assert len(seen) == 2
-    # alias accepted
-    alias = make_test_image("single-object", 64, 64)
-    assert alias.pixels == img.pixels
 
 
 def test_make_test_image_rejects_bad_input():
     with pytest.raises(ValueError):
         make_test_image("plaid", 8, 8)
+    # each pattern has one spelling
+    for name in ("single-object", "Gradient"):
+        with pytest.raises(ValueError, match=f"unknown pattern '{name}'"):
+            make_test_image(name, 8, 8)
     with pytest.raises(ValueError):
         make_test_image("gradient", 0, 8)
 

@@ -392,7 +392,7 @@ def test_bench_cli_small_run(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     assert run("bench", "--sizes", "512", "--key-sizes", "128",
                "--variants", "base,optf", "--modes", "ecb", "--reps", "3",
-               "--warmup", "0", "--out", str(out_csv)) == EXIT_OK
+               "--out", str(out_csv)) == EXIT_OK
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].startswith("label,")
     assert len(lines) == 3
@@ -418,7 +418,7 @@ def test_bench_cli_rejects_unknown_names(capsys, flag, value):
 
 def test_bench_cli_matrix_defaults(tmp_path):
     out_csv = tmp_path / "bench.csv"
-    assert run("bench", "--sizes", "512", "--reps", "3", "--warmup", "0",
+    assert run("bench", "--sizes", "512", "--reps", "3",
                "--out", str(out_csv)) == EXIT_OK
     rows = list(csv.DictReader(out_csv.open()))
     cells = {(r["key_bits"], r["n_r"], r["variant"], r["mode"], r["op"]) for r in rows}
@@ -447,9 +447,8 @@ def test_bench_cli_matrix_options_refused_outside_matrix(capsys, micro, flag, va
 
 @pytest.mark.parametrize("flag,value", [
     ("--sizes", "512"),
-    ("--warmup", "0"),
     ("--reps", "2"),
-], ids=["micro-sizes", "micro-warmup", "micro-reps"])
+], ids=["micro-sizes", "micro-reps"])
 def test_bench_cli_refuses_options_its_run_ignores(capsys, flag, value):
     assert run("bench", "--micro", "300", "--reps", "3", flag, value) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -458,9 +457,14 @@ def test_bench_cli_refuses_options_its_run_ignores(capsys, flag, value):
     assert flag in captured.err
 
 
-@pytest.mark.parametrize("flag,value", [("--sweep-rounds", "1,2"), ("--micro-iters", "300")])
+@pytest.mark.parametrize("flag,value", [
+    ("--sweep-rounds", "1,2"),
+    ("--micro-iters", "300"),
+    ("--warmup", "0"),
+])
 def test_bench_cli_removed_flags_exit_2(capsys, flag, value):
-    # The round sweep is --rounds, and --micro takes its own count.
+    # The round sweep is --rounds, --micro takes its own count, and every
+    # cell gets one untimed pass.
     assert run("bench", flag, value) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -479,13 +483,11 @@ def test_bench_cli_refuses_repeated_values(tmp_path, capsys):
 @pytest.mark.parametrize("argv,flags", [
     (("--rounds", "1,2", "--sizes", "64", "--reps", "0"), ("--reps",)),
     (("--rounds", "1,2", "--sizes", "64", "--reps", "2"), ("--reps",)),
-    (("--rounds", "1,2", "--sizes", "64", "--reps", "3", "--warmup", "-3"), ("--warmup",)),
     (("--micro", "2", "--reps", "3"), ("--micro", "--reps")),
     (("--sizes", "64", "--reps", "2"), ("--reps",)),
-    (("--sizes", "64", "--reps", "3", "--warmup", "-1"), ("--warmup",)),
     (("--micro", "--reps", "1"), ("--reps",)),
-], ids=["sweep-reps-0", "sweep-reps-2", "sweep-warmup", "micro-iters-below-reps",
-        "matrix-reps-2", "matrix-warmup", "micro-reps-1"])
+], ids=["sweep-reps-0", "sweep-reps-2", "micro-iters-below-reps", "matrix-reps-2",
+        "micro-reps-1"])
 def test_bench_cli_refuses_bad_counts(capsys, argv, flags):
     assert run("bench", *argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -499,7 +501,7 @@ def test_bench_cli_sweep(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     assert run("bench", "--sizes", "512", "--key-sizes", "128", "--variants", "base",
                "--modes", "ecb", "--ops", "encrypt,decrypt", "--rounds", "1,2",
-               "--reps", "3", "--warmup", "0", "--out", str(out_csv)) == EXIT_OK
+               "--reps", "3", "--out", str(out_csv)) == EXIT_OK
     assert len(out_csv.read_text().strip().splitlines()) == 5
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" time ")[0] for line in lines] == [
@@ -511,7 +513,7 @@ def test_bench_cli_prints_gains_and_growth(tmp_path, capsys):
     # A matrix over several variants and round counts prints both summaries.
     assert run("bench", "--sizes", "512", "--key-sizes", "128", "--modes", "ecb",
                "--variants", "base,optf", "--rounds", "1,2", "--reps", "3",
-               "--warmup", "0", "--out", str(tmp_path / "bench.csv")) == EXIT_OK
+               "--out", str(tmp_path / "bench.csv")) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [re.sub(r" [+-][\d.]+%", " N%", line) for line in lines] == [
         "ecb/encrypt 528B key128 1r: optf N% vs base (reported: 20%)",
@@ -526,6 +528,54 @@ def test_bench_cli_micro(tmp_path):
     assert run("bench", "--micro", "300", "--reps", "3",
                "--out", str(out_csv)) == EXIT_OK
     assert len(out_csv.read_text().strip().splitlines()) == 9
+
+
+def test_bench_cli_without_out_keeps_stdout_a_report(capsys):
+    # `aeslab bench > x.csv` gives a CSV; the summaries go to stderr.
+    assert run("bench", "--micro", "300", "--reps", "3") == EXIT_OK
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert rows[0][0] == "label" and len(rows) == 9
+    assert {len(row) for row in rows} == {len(rows[0])}
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "add_round_key", "mix_columns", "shift_rows", "sub_bytes"]
+    assert all(" vs base (reported: " in line for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ("make-image", "--pattern", "gradient", "--width", "8", "--height", "8"),
+    ("analyze", "--in", "{image}"),
+    ("bench", "--micro", "300", "--reps", "3"),
+    ("cost",),
+    ("cost", "--grid"),
+], ids=["make-image", "analyze", "bench", "cost", "cost-grid"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
+    image = tmp_path / "plain.bmp"
+    assert run("make-image", "--pattern", "gradient", "--width", "8", "--height", "8",
+               "--out", str(image)) == EXIT_OK
+    out = tmp_path / "no" / "such" / "dir" / "x"
+    argv = [arg.format(image=image) for arg in argv]
+    assert run(*argv, "--out", str(out)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,fmt", [
+    ("encrypt", "raw"),
+    ("decrypt", "raw"),
+    ("encrypt", "bmp-image-mode"),
+    ("decrypt", "bmp-image-mode"),
+])
+def test_short_iv_is_input_error_before_any_write(tmp_path, capsys, command, fmt):
+    src = tmp_path / "plain.bmp"
+    assert run("make-image", "--pattern", "gradient", "--width", "8", "--height", "8",
+               "--out", str(src)) == EXIT_OK
+    out = tmp_path / "out"
+    assert run(command, "--mode", "cbc", "--key-hex", KEY, "--iv-hex", "aa" * 15,
+               "--format", fmt, "--in", str(src), "--out", str(out)) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: IV must be 16 bytes, got 15\n"
+    assert not out.exists()
 
 
 def test_readme_commands_parse():

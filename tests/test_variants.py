@@ -171,6 +171,9 @@ def test_make_plan_rejects_bad_input():
         make_plan("turbo", 10)
     with pytest.raises(ValueError, match="unknown variant 'multable'"):
         make_plan("multable", 10)
+    # the ids are the exact lower-case names BenchConfig also accepts
+    with pytest.raises(ValueError, match="unknown variant 'OptF'"):
+        make_plan("OptF", 10)
     with pytest.raises(ValueError):
         make_plan("base", 0)
 
