@@ -171,11 +171,13 @@ def run_matrix(cfg: BenchConfig) -> list:
     op) cell.
 
     Payloads come from a generator seeded with cfg.seed, so re-running
-    with the same seed reproduces them byte-for-byte.  The key of each
-    key size is expanded once per round count.  Within each (size, key,
-    mode) group the repetitions run interleaved across round count,
-    variant and op cells, so a load spike cannot systematically inflate
-    any one of them.  Each round count's Base encrypt output is the
+    with the same seed reproduces them byte-for-byte.  They are random,
+    so no block equals the one before it: the mode loops compute every
+    block, and no cell takes their reuse of a run of equal blocks.  The
+    key of each key size is expanded once per round count.  Within each
+    (size, key, mode) group the repetitions run interleaved across round
+    count, variant and op cells, so a load spike cannot systematically
+    inflate any one of them.  Each round count's Base encrypt output is the
     reference its other cells must match.  Cells run the image-mode
     layout on the padded payload: it is block-aligned, so the layout
     adds no tail and no copy.

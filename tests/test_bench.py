@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from aeslab import bench, core
+from aeslab import bench, core, modes
 from aeslab.bench import (
     BenchConfig,
     BenchResult,
@@ -300,3 +300,34 @@ def test_matrix_output_check_is_first_warmup_pass(monkeypatch):
     results = run_matrix(cfg)
     assert runs.count("base") == runs.count("optf") == 1 + 3
     assert [r.warmup for r in results] == [1, 1]
+
+
+def test_matrix_cells_compute_every_block(monkeypatch):
+    # The payloads are random, so no block equals the one before it and
+    # each timed call computes every block of the padded payload.
+    blocks = [0]
+    for name in ("encrypt_block_variant", "decrypt_block_variant"):
+        fn = getattr(modes, name)
+
+        def counting(*args, fn=fn):
+            blocks[0] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(modes, name, counting)
+    per_call = []
+    time_call = bench._time_call
+
+    def timed(fn):
+        blocks[0] = 0
+        t = time_call(fn)
+        per_call.append(blocks[0])
+        return t
+
+    monkeypatch.setattr(bench, "_time_call", timed)
+    cfg = BenchConfig(sizes=(256,), key_sizes=(128,), variants=("base", "optf"),
+                      modes=("ecb",), ops=("encrypt", "decrypt"), repetitions=3, seed=5)
+    results = run_matrix(cfg)
+    assert len(results) == 4
+    # 3 timed key expansions, then 3 repetitions of 4 cells over the
+    # 256-byte payload padded to 17 blocks.
+    assert per_call == [0] * 3 + [(256 + 16) // 16] * (3 * 4)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aeslab import modes
-from aeslab.core import encrypt_block, key_expansion
+from aeslab.core import decrypt_block, encrypt_block, key_expansion
 from aeslab.modes import (
     CHUNK,
     PaddingError,
@@ -397,6 +397,116 @@ def test_residual_cbc_needs_iv(ks):
 
 
 # ---------------------------------------------------------------------------
+# Runs of equal blocks: ECB and CBC decryption compute each run once
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    vid=st.sampled_from(VARIANT_IDS),
+    key_bytes=st.sampled_from((16, 24, 32)),
+    n_r=st.sampled_from((1, 10, 14)),
+    key=st.binary(min_size=32, max_size=32),
+    iv=st.binary(min_size=16, max_size=16),
+    block=st.binary(min_size=16, max_size=16),
+    flips=st.lists(st.tuples(st.sampled_from(range(16)), st.integers(1, 255)),
+                   min_size=2, max_size=2),
+    runs=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=40),
+)
+@example(vid="optf", key_bytes=16, n_r=10, key=bytes(32), iv=bytes(16), block=bytes(16),
+         flips=[(0, 1), (15, 1)], runs=[(0, 1), (1, 1)] * 20)
+@example(vid="base", key_bytes=32, n_r=14, key=bytes(range(32)), iv=bytes(range(16)),
+         block=bytes(range(16)), flips=[(7, 0x80), (8, 0x80)],
+         runs=[(0, 4), (2, 3), (2, 1), (1, 2)])
+def test_block_runs_match_per_block_property(vid, key_bytes, n_r, key, iv, block, flips, runs):
+    # Up to 40 blocks made of runs of 1-4 equal blocks from a pool of 3,
+    # which differ from the first in one byte each: every output block
+    # is the block cipher of its own input block.
+    ks = key_expansion(key[:key_bytes], n_r)
+    plan = make_plan(vid, n_r)
+    pool = [block]
+    for at, bit in flips:
+        near = bytearray(block)
+        near[at] ^= bit
+        pool.append(bytes(near))
+    blocks = [pool[j] for j, length in runs for _ in range(length)][:40]
+    data = b"".join(blocks)
+    enc = {b: encrypt_block(b, ks) for b in pool}
+    dec = {b: decrypt_block(b, ks) for b in pool}
+    assert ecb_encrypt(data, ks, plan) == b"".join(enc[b] for b in blocks)
+    assert ecb_decrypt(data, ks, plan) == b"".join(dec[b] for b in blocks)
+    chain = [iv] + blocks[:-1]
+    assert cbc_decrypt(data, ks, iv, plan) == b"".join(
+        bytes(a ^ c for a, c in zip(dec[b], prev)) for b, prev in zip(blocks, chain))
+
+
+def test_blocks_one_byte_apart_are_not_a_run(ks):
+    # A block that differs from the one before it in any single byte is
+    # computed, not taken from the run.
+    plan = make_plan("optf", ks.n_r)
+    block = bytes(range(16))
+    for at in range(16):
+        near = bytearray(block)
+        near[at] ^= 0x80
+        blocks = [block, bytes(near), bytes(near), block]
+        data = b"".join(blocks)
+        assert ecb_encrypt(data, ks, plan) == b"".join(encrypt_block(b, ks) for b in blocks), at
+        assert ecb_decrypt(data, ks, plan) == b"".join(decrypt_block(b, ks) for b in blocks), at
+
+
+def test_run_across_a_piece_boundary_round_trips(ks):
+    # 1027 zero blocks: the run crosses the CHUNK boundary and the
+    # padded piece starts with a run of its own.
+    plan = make_plan("optf", ks.n_r)
+    data = bytes(CHUNK + 48)
+    blob = encrypt_blob(data, ks, "ecb", plan)
+    assert blob == raw_layout_oracle(data, None)
+    assert b"".join(decrypt_pieces(blob, ks, "ecb", plan)) == data
+
+
+def test_residual_tail_equal_to_a_block_prefix_passes_through(ks):
+    # The 8-byte tail is the prefix of the repeated block; it is not a
+    # block and is neither encrypted nor taken for the run.
+    block = bytes(range(16))
+    data = block * 3 + block[:8]
+    plan = make_plan("opt2", ks.n_r)
+    for mode, iv in (("ecb", None), ("cbc", bytes(16))):
+        ct = encrypt_with_residual(data, ks, mode, plan, iv)
+        assert ct == residual_oracle(data, KEY, ks.n_r, iv, decrypt=False)
+        assert ct[-8:] == block[:8]
+        assert decrypt_with_residual(ct, ks, mode, plan, iv) == data
+
+
+def test_block_calls_per_run_of_equal_blocks(ks, monkeypatch):
+    calls = [0]
+    for name in ("encrypt_block_variant", "decrypt_block_variant"):
+        fn = getattr(modes, name)
+
+        def counting(*args, fn=fn):
+            calls[0] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(modes, name, counting)
+
+    def count(run, *args):
+        calls[0] = 0
+        return run(*args), calls[0]
+
+    plan = make_plan("optf", ks.n_r)
+    zeros = bytes(16 * 64)
+    ct, n = count(ecb_encrypt, zeros, ks, plan)
+    assert n == 1
+    assert count(ecb_decrypt, ct, ks, plan) == (zeros, 1)
+    abab = (bytes(16) + bytes(range(16))) * 2
+    ct, n = count(ecb_encrypt, abab, ks, plan)
+    assert n == 4
+    assert count(ecb_decrypt, ct, ks, plan) == (abab, 4)
+    # CBC encryption's chained inputs differ, and so does its ciphertext.
+    iv = bytes(range(16))
+    ct, n = count(cbc_encrypt, zeros, ks, iv, plan)
+    assert n == 64
+    assert count(cbc_decrypt, ct, ks, iv, plan) == (zeros, 64)
+
+
+# ---------------------------------------------------------------------------
 # Mode/IV rules, each enforced by the wrapper that takes the mode
 
 def test_wrappers_enforce_mode_rules(ks):
@@ -488,10 +598,14 @@ def test_layout_wrappers_call_through_module_globals(ks, monkeypatch):
         assert decrypt_with_residual(out, ks, mode, plan, mode_iv) == data
     # ECB runs encrypt_blob and encrypt_with_residual through ecb_encrypt,
     # CBC runs decrypt_blob and decrypt_with_residual through cbc_decrypt;
-    # each mode moves 3 + 2 blocks per direction.
+    # each mode moves 3 + 2 blocks per direction.  ECB computes the two
+    # equal zero blocks (and their equal ciphertext blocks) once: 2 calls
+    # for the padded blob's 3 blocks, 1 for the residual's 2.  CBC's
+    # chained blocks all differ: 3 + 2 calls.  Per direction,
+    # ECB (2 + 1) + CBC (3 + 2) = 8.
     assert calls == {
         "ecb_encrypt": 2,
         "cbc_decrypt": 2,
-        "encrypt_block_variant": 2 * (3 + 2),
-        "decrypt_block_variant": 2 * (3 + 2),
+        "encrypt_block_variant": (2 + 1) + (3 + 2),
+        "decrypt_block_variant": (2 + 1) + (3 + 2),
     }
