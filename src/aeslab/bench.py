@@ -172,8 +172,8 @@ def run_matrix(cfg: BenchConfig) -> list:
 
     Payloads come from a generator seeded with cfg.seed, so re-running
     with the same seed reproduces them byte-for-byte.  They are random,
-    so no block equals the one before it: the mode loops compute every
-    block, and no cell takes their reuse of a run of equal blocks.  The
+    so no block repeats: the mode loops compute every block, and no
+    cell takes their reuse of a repeated block.  The
     key of each key size is expanded once per round count.  Within each
     (size, key, mode) group the repetitions run interleaved across round
     count, variant and op cells, so a load spike cannot systematically

@@ -11,15 +11,16 @@ to every block of the ciphertext C, the plaintext is
 D(C) xor (IV || C[:-16]), one XOR over the whole message.
 
 ECB in both directions and CBC decryption's D(C) run one block loop,
-which computes each run of equal consecutive input blocks once.  The
-block functions are pure, so the output is unchanged.  What the loop
-skips depends only on whether a block equals the one before it: for
-ECB encryption equal consecutive plaintext blocks are equal consecutive
-ciphertext blocks, which the output already shows, and for decryption
-the input is the ciphertext itself.  A flat bitmap is mostly such runs,
-so its ECB runs faster for the same reason it leaks.  CBC encryption's
-chained inputs do not repeat, and it calls the block function for every
-block.
+which computes each distinct input block once among those since its
+memo was last cleared; the memo is cleared at MEMO_BLOCKS blocks, so
+it stays small whatever the input.  The block functions are pure, so
+the output is unchanged.  What the loop skips depends only on which
+input blocks are equal: for ECB encryption equal plaintext blocks are
+equal ciphertext blocks, which the output already shows, and for
+decryption the input is the ciphertext itself.  A flat bitmap is mostly
+repeated blocks, so its ECB runs faster for the same reason it leaks.
+CBC encryption's chained inputs do not repeat, and it calls the block
+function for every block.
 
 Each mode loop appends its blocks to one bytearray and returns its
 bytes: about twice its input in transient memory (4-5x for CBC
@@ -46,6 +47,9 @@ MODES = ("ecb", "cbc")
 # Raw-layout piece size: 1024 blocks, small beside a file and large
 # beside the per-call overhead of a mode loop.
 CHUNK = 16 * 1024
+
+# Most input blocks _each_block keeps with their outputs: about 34 KB.
+MEMO_BLOCKS = 256
 
 
 class PaddingError(ValueError):
@@ -90,17 +94,20 @@ def _require_iv(iv: bytes) -> None:
 def _each_block(fn, data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytearray:
     """fn applied to every block of data, appended to one buffer.
 
-    fn is a pure function of (block, ks, plan), so a block equal to the
-    one before it appends the output kept from that block instead of
-    calling fn again: a run of equal blocks costs one call and one
-    16-byte compare per block.  Only the previous block is kept, so the
-    extra memory is one block and one output, whatever the input."""
+    fn is a pure function of (block, ks, plan), so a block seen since
+    the memo was last cleared appends the output kept for it instead of
+    calling fn again: each distinct block among those costs one call,
+    and every block one dict probe.  The memo is cleared when it holds
+    MEMO_BLOCKS blocks, so its memory is bounded whatever the input."""
     out = bytearray()
-    prev = None
+    memo = {}
     for i in range(0, len(data), 16):
         block = data[i:i + 16]
-        if block != prev:
-            prev, result = block, fn(block, ks, plan)
+        result = memo.get(block)
+        if result is None:
+            if len(memo) == MEMO_BLOCKS:
+                memo.clear()
+            result = memo[block] = fn(block, ks, plan)
         out += result
     return out
 

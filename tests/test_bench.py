@@ -303,8 +303,8 @@ def test_matrix_output_check_is_first_warmup_pass(monkeypatch):
 
 
 def test_matrix_cells_compute_every_block(monkeypatch):
-    # The payloads are random, so no block equals the one before it and
-    # each timed call computes every block of the padded payload.
+    # The payloads are random, so no block repeats and each timed call
+    # computes every block of the padded payload.
     blocks = [0]
     for name in ("encrypt_block_variant", "decrypt_block_variant"):
         fn = getattr(modes, name)

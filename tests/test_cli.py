@@ -361,6 +361,21 @@ def test_analyze_rejects_non_bmp(tmp_path, raw_file):
     assert run("analyze", "--in", str(raw_file)) == EXIT_INPUT
 
 
+def test_analyze_needs_a_whole_block_of_pixels(tmp_path, capsys):
+    # A 1x1 bitmap is valid and image mode encrypts it (its 4 pixel
+    # bytes are all tail), but analyze needs one whole 16-byte block.
+    plain = tmp_path / "plain.bmp"
+    enc = tmp_path / "enc.bmp"
+    assert run("make-image", "--pattern", "constant-color", "--width", "1",
+               "--height", "1", "--out", str(plain)) == EXIT_OK
+    assert run("encrypt", "--mode", "ecb", "--format", "bmp-image-mode",
+               "--key-hex", KEY, "--in", str(plain), "--out", str(enc)) == EXIT_OK
+    capsys.readouterr()
+    for args in (("--in", str(plain)), ("--in", str(plain), "--compare", str(enc))):
+        assert run("analyze", *args) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: need at least one 16-byte block, got 4 bytes\n")
+
+
 def test_cost_prints_reference_values(capsys):
     assert run("cost", "--nb", "4", "--nr", "10",
                "--ta", "1", "--to", "1", "--ts", "1") == EXIT_OK

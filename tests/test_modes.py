@@ -1,12 +1,13 @@
 import functools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aeslab import modes
+from aeslab import analysis, bmp, modes
 from aeslab.core import decrypt_block, encrypt_block, key_expansion
 from aeslab.modes import (
     CHUNK,
@@ -397,7 +398,8 @@ def test_residual_cbc_needs_iv(ks):
 
 
 # ---------------------------------------------------------------------------
-# Runs of equal blocks: ECB and CBC decryption compute each run once
+# Repeated blocks: ECB and CBC decryption compute each distinct block
+# once among those since the memo was last cleared
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
@@ -408,18 +410,24 @@ def test_residual_cbc_needs_iv(ks):
     iv=st.binary(min_size=16, max_size=16),
     block=st.binary(min_size=16, max_size=16),
     flips=st.lists(st.tuples(st.sampled_from(range(16)), st.integers(1, 255)),
-                   min_size=2, max_size=2),
-    runs=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=40),
+                   min_size=2, max_size=5),
+    bound=st.sampled_from((1, 2, 3, modes.MEMO_BLOCKS)),
+    runs=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), max_size=40),
 )
 @example(vid="optf", key_bytes=16, n_r=10, key=bytes(32), iv=bytes(16), block=bytes(16),
-         flips=[(0, 1), (15, 1)], runs=[(0, 1), (1, 1)] * 20)
+         flips=[(0, 1), (15, 1)], bound=modes.MEMO_BLOCKS, runs=[(0, 1), (1, 1)] * 20)
 @example(vid="base", key_bytes=32, n_r=14, key=bytes(range(32)), iv=bytes(range(16)),
-         block=bytes(range(16)), flips=[(7, 0x80), (8, 0x80)],
+         block=bytes(range(16)), flips=[(7, 0x80), (8, 0x80)], bound=modes.MEMO_BLOCKS,
          runs=[(0, 4), (2, 3), (2, 1), (1, 2)])
-def test_block_runs_match_per_block_property(vid, key_bytes, n_r, key, iv, block, flips, runs):
-    # Up to 40 blocks made of runs of 1-4 equal blocks from a pool of 3,
-    # which differ from the first in one byte each: every output block
-    # is the block cipher of its own input block.
+@example(vid="opt1", key_bytes=24, n_r=10, key=bytes(range(32)), iv=bytes(16),
+         block=bytes(16), flips=[(0, 1), (1, 1), (2, 1), (3, 1)], bound=2,
+         runs=[(0, 1), (1, 1), (2, 1), (0, 2), (3, 1), (4, 1), (1, 3), (0, 1)])
+def test_block_runs_match_per_block_property(vid, key_bytes, n_r, key, iv, block, flips, bound, runs):
+    # Up to 40 blocks made of runs of 1-4 equal blocks from a pool of
+    # 3-6, which differ from the first in one byte each, so blocks repeat
+    # apart as well as in runs.  A memo bound of 1-3 blocks, no larger
+    # than the pool, is cleared along the way.  Every output block is
+    # the block cipher of its own input block.
     ks = key_expansion(key[:key_bytes], n_r)
     plan = make_plan(vid, n_r)
     pool = [block]
@@ -427,20 +435,21 @@ def test_block_runs_match_per_block_property(vid, key_bytes, n_r, key, iv, block
         near = bytearray(block)
         near[at] ^= bit
         pool.append(bytes(near))
-    blocks = [pool[j] for j, length in runs for _ in range(length)][:40]
+    blocks = [pool[j % len(pool)] for j, length in runs for _ in range(length)][:40]
     data = b"".join(blocks)
     enc = {b: encrypt_block(b, ks) for b in pool}
     dec = {b: decrypt_block(b, ks) for b in pool}
-    assert ecb_encrypt(data, ks, plan) == b"".join(enc[b] for b in blocks)
-    assert ecb_decrypt(data, ks, plan) == b"".join(dec[b] for b in blocks)
     chain = [iv] + blocks[:-1]
-    assert cbc_decrypt(data, ks, iv, plan) == b"".join(
-        bytes(a ^ c for a, c in zip(dec[b], prev)) for b, prev in zip(blocks, chain))
+    with mock.patch.object(modes, "MEMO_BLOCKS", bound):
+        assert ecb_encrypt(data, ks, plan) == b"".join(enc[b] for b in blocks)
+        assert ecb_decrypt(data, ks, plan) == b"".join(dec[b] for b in blocks)
+        assert cbc_decrypt(data, ks, iv, plan) == b"".join(
+            bytes(a ^ c for a, c in zip(dec[b], prev)) for b, prev in zip(blocks, chain))
 
 
 def test_blocks_one_byte_apart_are_not_a_run(ks):
-    # A block that differs from the one before it in any single byte is
-    # computed, not taken from the run.
+    # A block that differs from one seen before in any single byte is
+    # computed, not taken from the memo.
     plan = make_plan("optf", ks.n_r)
     block = bytes(range(16))
     for at in range(16):
@@ -464,7 +473,7 @@ def test_run_across_a_piece_boundary_round_trips(ks):
 
 def test_residual_tail_equal_to_a_block_prefix_passes_through(ks):
     # The 8-byte tail is the prefix of the repeated block; it is not a
-    # block and is neither encrypted nor taken for the run.
+    # block and is neither encrypted nor taken from the memo.
     block = bytes(range(16))
     data = block * 3 + block[:8]
     plan = make_plan("opt2", ks.n_r)
@@ -475,7 +484,9 @@ def test_residual_tail_equal_to_a_block_prefix_passes_through(ks):
         assert decrypt_with_residual(ct, ks, mode, plan, iv) == data
 
 
-def test_block_calls_per_run_of_equal_blocks(ks, monkeypatch):
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count(run, *args) is (run(*args), the block-function calls it made)."""
     calls = [0]
     for name in ("encrypt_block_variant", "decrypt_block_variant"):
         fn = getattr(modes, name)
@@ -490,20 +501,56 @@ def test_block_calls_per_run_of_equal_blocks(ks, monkeypatch):
         calls[0] = 0
         return run(*args), calls[0]
 
+    return count
+
+
+def test_block_calls_for_repeated_blocks(ks, count_calls):
     plan = make_plan("optf", ks.n_r)
     zeros = bytes(16 * 64)
-    ct, n = count(ecb_encrypt, zeros, ks, plan)
+    ct, n = count_calls(ecb_encrypt, zeros, ks, plan)
     assert n == 1
-    assert count(ecb_decrypt, ct, ks, plan) == (zeros, 1)
+    assert count_calls(ecb_decrypt, ct, ks, plan) == (zeros, 1)
+    # A,B,A,B: the second A and B are taken from the memo.
     abab = (bytes(16) + bytes(range(16))) * 2
-    ct, n = count(ecb_encrypt, abab, ks, plan)
-    assert n == 4
-    assert count(ecb_decrypt, ct, ks, plan) == (abab, 4)
+    ct, n = count_calls(ecb_encrypt, abab, ks, plan)
+    assert n == 2
+    assert count_calls(ecb_decrypt, ct, ks, plan) == (abab, 2)
     # CBC encryption's chained inputs differ, and so does its ciphertext.
     iv = bytes(range(16))
-    ct, n = count(cbc_encrypt, zeros, ks, iv, plan)
+    ct, n = count_calls(cbc_encrypt, zeros, ks, iv, plan)
     assert n == 64
-    assert count(cbc_decrypt, ct, ks, iv, plan) == (zeros, 64)
+    assert count_calls(cbc_decrypt, ct, ks, iv, plan) == (zeros, 64)
+
+
+def test_memo_holds_at_most_its_bound(ks, count_calls):
+    # n distinct blocks, then the first one again.  256 fit in the memo,
+    # so the first block is taken from it.  A 257th fills the memo past
+    # its 256 entries, which clears it, so the first block is computed
+    # again, and so it is after 300.
+    assert modes.MEMO_BLOCKS == 256
+    plan = make_plan("optf", ks.n_r)
+    distinct = [i.to_bytes(16, "big") for i in range(300)]
+    for n, calls in ((256, 256), (257, 258), (300, 301)):
+        blocks = distinct[:n] + distinct[:1]
+        data = b"".join(blocks)
+        ct, made = count_calls(ecb_encrypt, data, ks, plan)
+        assert made == calls, n
+        assert ct == b"".join(encrypt_block(b, ks) for b in blocks), n
+        assert count_calls(ecb_decrypt, ct, ks, plan) == (data, calls), n
+
+
+@pytest.mark.parametrize("size", (33, 200))
+@pytest.mark.parametrize("pattern", bmp.TEST_PATTERNS)
+def test_image_block_calls_are_its_distinct_blocks(ks, count_calls, pattern, size):
+    # At these sizes each test bitmap has at most MEMO_BLOCKS distinct
+    # blocks or none that repeats, so ECB of the residual layout computes
+    # each distinct block exactly once.
+    pixels = bmp.make_test_image(pattern, size, size).pixels
+    distinct = analysis.duplicate_block_ratio(pixels).distinct_blocks
+    plan = make_plan("optf", ks.n_r)
+    ct, n = count_calls(encrypt_with_residual, pixels, ks, "ecb", plan)
+    assert n == distinct
+    assert count_calls(decrypt_with_residual, ct, ks, "ecb", plan) == (pixels, distinct)
 
 
 # ---------------------------------------------------------------------------
