@@ -91,7 +91,6 @@ class BenchResult:
     mode: str
     op: str
     repetitions: int
-    warmup: int
     median_s: float
     mean_s: float
     std_s: float
@@ -154,7 +153,6 @@ def _result(label, size_bytes, key_bits, n_r, variant, mode, op,
         mode=mode,
         op=op,
         repetitions=len(samples),
-        warmup=1,  # every cell's one untimed pass
         median_s=median,
         mean_s=statistics.fmean(samples),
         std_s=statistics.stdev(samples) if len(samples) > 1 else 0.0,
@@ -287,26 +285,17 @@ def microbench_all(iterations: int = 1_000_000, repetitions: int = 5, seed: int 
 # ---------------------------------------------------------------------------
 # Reporting
 
-def emit_report(results: list, fmt: str = "csv") -> str:
-    """Render results as CSV or structured text.  Column order is
-    stable: configuration fields first, then statistics."""
+def emit_report(results: list) -> str:
+    """Render results as CSV.  Column order is stable: configuration
+    fields first, then statistics."""
     if not results:
         raise ValueError("no results to report")
     names = [f.name for f in fields(BenchResult)]
     buf = io.StringIO()
-    if fmt == "csv":
-        writer = csv.writer(buf)
-        writer.writerow(names)
-        for r in results:
-            writer.writerow([getattr(r, n) for n in names])
-    elif fmt == "text":
-        for r in results:
-            for n in names:
-                v = getattr(r, n)
-                buf.write(f"{n}: {v:.6g}\n" if isinstance(v, float) else f"{n}: {v}\n")
-            buf.write("\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    for r in results:
+        writer.writerow([getattr(r, n) for n in names])
     return buf.getvalue()
 
 

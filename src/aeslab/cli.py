@@ -4,8 +4,9 @@ and cost subcommands.
 Exit codes: 0 success, 2 usage error (including a flag value out of
 range), 3 input error (missing or malformed files, keys or IVs), 4
 integrity error (padding check failed on decryption).  Every
-subcommand is scriptable: no prompts, and all randomness is seedable
-via --seed; encrypt and decrypt refuse --seed where they draw no IV.
+subcommand is scriptable: no prompts.  bench --seed seeds its payloads
+and keys; --iv-hex fixes a CBC IV, which CBC encrypt otherwise draws
+from os.urandom.
 
 Raw-format encrypt and decrypt write their output piece by piece, and
 open it only once the first piece exists: every input and padding
@@ -19,7 +20,6 @@ the matrix.  cost --grid likewise refuses --nb and --nr.
 
 import argparse
 import itertools
-import random
 import sys
 
 from . import bmp, modes
@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="raw: PKCS#7-padded whole file (CBC output is IV||ciphertext); "
                             "bmp-image-mode: keep the BMP header, encrypt the pixel array, "
                             "preserve file size")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed the IV that CBC encrypt draws without --iv-hex (testing only)")
 
     p = sub.add_parser("make-image", help="generate a synthetic 24-bit BMP test image")
     p.add_argument("--pattern", required=True, choices=bmp.TEST_PATTERNS)
@@ -110,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="ITERS",
                    help="run per-transform microbenchmarks instead of the matrix, "
                         "ITERS transform applications per cell (default: 1000000)")
-    p.add_argument("--report", default="csv", choices=("csv", "text"))
-    p.add_argument("--out", dest="out_path", help="write report here (default stdout)")
+    p.add_argument("--out", dest="out_path", help="write the CSV here (default stdout)")
 
     p = sub.add_parser("cost", help="analytic operation-cost model")
     p.add_argument("--nb", type=int, default=None, help="block length N_b (default: 4)")
@@ -194,10 +191,6 @@ def _cmd_crypt(args) -> int:
     # is not hidden behind a bad key.
     if args.mode == "ecb" and args.iv_hex is not None:
         raise UsageError("--iv-hex is forbidden for ECB")
-    draws_iv = args.command == "encrypt" and args.mode == "cbc" and args.iv_hex is None
-    if args.seed is not None and not draws_iv:
-        raise UsageError("--seed is forbidden here: it seeds only the IV that "
-                         "CBC encrypt draws without --iv-hex")
     if (args.format != "raw" and args.command == "decrypt" and args.mode == "cbc"
             and args.iv_hex is None):
         raise UsageError("bmp-image-mode CBC decrypt needs --iv-hex "
@@ -207,8 +200,9 @@ def _cmd_crypt(args) -> int:
     plan = make_plan(args.variant, ks.n_r)
     # modes checks the IV length before any output is written.
     iv = None if args.iv_hex is None else _parse_hex(args.iv_hex, "--iv-hex")
+    draws_iv = args.command == "encrypt" and args.mode == "cbc" and iv is None
     if draws_iv:
-        iv = modes.random_iv(random.Random(args.seed) if args.seed is not None else None)
+        iv = modes.random_iv()
     data = _read_file(args.in_path)
 
     if args.format == "raw":
@@ -322,10 +316,10 @@ def _cmd_bench(args) -> int:
         results = bench.run_matrix(cfg)
         summary = bench.variant_gain_lines(results) + bench.sweep_growth_lines(results)
 
-    _write_text(args.out_path, bench.emit_report(results, args.report))
-    # Without --out, stdout holds the report alone.
+    _write_text(args.out_path, bench.emit_report(results))
+    # Without --out, stdout holds the CSV alone.
     for line in summary:
-        print(line, file=sys.stderr if args.out_path is None else sys.stdout)
+        print(line, file=sys.stderr)
     return EXIT_OK
 
 

@@ -148,11 +148,9 @@ def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
     return (int.from_bytes(out, "big") ^ chain).to_bytes(n, "big")
 
 
-def random_iv(rng: "random.Random | None" = None) -> bytes:
-    """Fresh 16-byte IV from os.urandom, or from a seeded generator for
-    reproducible tests.  Entropy failure raises; never a fixed IV."""
-    if rng is not None:
-        return rng.randbytes(BLOCK_SIZE)
+def random_iv() -> bytes:
+    """Fresh, unpredictable 16-byte IV from os.urandom.  Entropy failure
+    raises; never a fixed IV.  A reproducible run passes its own IV."""
     return os.urandom(BLOCK_SIZE)
 
 

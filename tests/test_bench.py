@@ -144,7 +144,7 @@ def test_microbench_mechanics():
     for r in results:
         assert isinstance(r, BenchResult)
         assert r.label == f"{r.op}/{r.variant}/x600"
-        assert (r.size_bytes, r.mode, r.repetitions, r.warmup) == (200, "state", 3, 1)
+        assert (r.size_bytes, r.mode, r.repetitions) == (200, "state", 3)
         assert r.median_s > 0
     with pytest.raises(ValueError, match="iterations must be >= repetitions, got 2 < 3"):
         microbench_all(iterations=2, repetitions=3)
@@ -210,27 +210,23 @@ def test_optimized_paths_run_faster():
 
 
 def test_emit_report_csv(small_results):
-    text = emit_report(small_results, "csv")
+    text = emit_report(small_results)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][:7] == ["label", "size_bytes", "key_bits", "n_r", "variant", "mode", "op"]
     assert "median_s" in rows[0] and "throughput_bps" in rows[0]
     assert len(rows) == 1 + len(small_results)
 
 
-def test_emit_report_text_and_errors(small_results):
-    text = emit_report(small_results, "text")
-    assert "label: 2048B/128k/10r/base/ecb/encrypt" in text
+def test_emit_report_text_and_errors():
     with pytest.raises(ValueError):
-        emit_report(small_results, "yaml")
-    with pytest.raises(ValueError):
-        emit_report([], "csv")
+        emit_report([])
 
 
 def _fake_result(variant, op, median, n_r=10, size=1000, mode="ecb"):
     return BenchResult(
         label=f"{size}B/{128}k/{n_r}r/{variant}/{mode}/{op}",
         size_bytes=size, key_bits=128, n_r=n_r, variant=variant, mode=mode,
-        op=op, repetitions=3, warmup=1, median_s=median, mean_s=median,
+        op=op, repetitions=3, median_s=median, mean_s=median,
         std_s=0.0, min_s=median, max_s=median, throughput_bps=size / median,
     )
 
@@ -299,7 +295,7 @@ def test_matrix_output_check_is_first_warmup_pass(monkeypatch):
                       modes=("ecb",), ops=("encrypt",), repetitions=3, seed=5)
     results = run_matrix(cfg)
     assert runs.count("base") == runs.count("optf") == 1 + 3
-    assert [r.warmup for r in results] == [1, 1]
+    assert [r.repetitions for r in results] == [3, 3]
 
 
 def test_matrix_cells_compute_every_block(monkeypatch):

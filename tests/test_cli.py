@@ -1,3 +1,4 @@
+import argparse
 import csv
 import random
 import re
@@ -46,7 +47,7 @@ def test_raw_ecb_roundtrip(tmp_path, raw_file):
 def test_raw_cbc_roundtrip_with_embedded_iv(tmp_path, raw_file):
     ct = tmp_path / "out.enc"
     pt = tmp_path / "out.dec"
-    assert run("encrypt", "--mode", "cbc", "--key-hex", KEY, "--seed", "3",
+    assert run("encrypt", "--mode", "cbc", "--key-hex", KEY,
                "--in", str(raw_file), "--out", str(ct)) == EXIT_OK
     assert len(ct.read_bytes()) == 16 + 1008  # IV prefix + ciphertext
     assert run("decrypt", "--mode", "cbc", "--key-hex", KEY,
@@ -69,6 +70,37 @@ def test_raw_cbc_explicit_iv(tmp_path, raw_file):
     assert pt.read_bytes() == raw_file.read_bytes()
 
 
+def test_cbc_encrypt_draws_a_fresh_iv(tmp_path, capsys, raw_file):
+    # Without --iv-hex each CBC encryption draws its IV from os.urandom,
+    # so two runs on one input differ, and each decrypts to the input.
+    image = tmp_path / "plain.bmp"
+    assert run("make-image", "--pattern", "gradient", "--width", "8", "--height", "8",
+               "--out", str(image)) == EXIT_OK
+    crypt = ("--mode", "cbc", "--key-hex", KEY)
+    for fmt, src in (("raw", raw_file), ("bmp-image-mode", image)):
+        ivs = []
+        for i in range(2):
+            ct, back = tmp_path / f"{i}.enc", tmp_path / f"{i}.dec"
+            assert run("encrypt", *crypt, "--format", fmt,
+                       "--in", str(src), "--out", str(ct)) == EXIT_OK
+            if fmt == "raw":
+                ivs.append(ct.read_bytes()[:16].hex())
+                iv_args = ()  # decrypt reads the IV prefix
+            else:
+                line = capsys.readouterr().out
+                assert line.startswith("iv=") and line.count("\n") == 1
+                ivs.append(line.strip().removeprefix("iv="))
+                iv_args = ("--iv-hex", ivs[-1])
+            assert run("decrypt", *crypt, "--format", fmt, *iv_args,
+                       "--in", str(ct), "--out", str(back)) == EXIT_OK
+            assert back.read_bytes() == src.read_bytes()
+        assert len(ivs[0]) == 32 and ivs[0] != ivs[1], fmt
+    # No flag seeds the draw: --iv-hex is the one way to fix the IV.
+    assert run("encrypt", *crypt, "--seed", "3", "--in", str(raw_file),
+               "--out", str(tmp_path / "seeded.enc")) == EXIT_USAGE
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,mode,fmt,extra", [
     ("encrypt", "ecb", "raw", ()),
     ("encrypt", "cbc", "raw", ("--iv-hex", IV)),
@@ -80,7 +112,8 @@ def test_raw_cbc_explicit_iv(tmp_path, raw_file):
     ("decrypt", "cbc", "bmp-image-mode", ("--iv-hex", IV)),
 ], ids=lambda v: v if isinstance(v, str) else ("iv" if v else "no-iv"))
 def test_seed_refused_where_no_iv_is_drawn(tmp_path, capsys, command, mode, fmt, extra):
-    # Only CBC encryption without --iv-hex draws an IV for --seed to seed.
+    # encrypt and decrypt take no --seed in any mode or format: a drawn
+    # IV comes from os.urandom, and --iv-hex fixes one.
     src = tmp_path / "in.bin"
     if fmt == "raw":
         src.write_bytes(bytes(32))
@@ -92,8 +125,7 @@ def test_seed_refused_where_no_iv_is_drawn(tmp_path, capsys, command, mode, fmt,
                *extra, "--in", str(src), "--out", str(out)) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "--seed" in captured.err
+    assert "unrecognized arguments: --seed 7" in captured.err
     assert not out.exists()
 
 
@@ -176,7 +208,7 @@ def test_raw_file_peak_memory_is_input_plus_a_piece(tmp_path, monkeypatch):
 def test_wrong_key_is_integrity_error(tmp_path, raw_file):
     ct = tmp_path / "out.enc"
     pt = tmp_path / "out.dec"
-    run("encrypt", "--mode", "cbc", "--key-hex", KEY, "--seed", "4",
+    run("encrypt", "--mode", "cbc", "--key-hex", KEY,
         "--in", str(raw_file), "--out", str(ct))
     wrong = "ff" * 16
     assert run("decrypt", "--mode", "cbc", "--key-hex", wrong,
@@ -278,7 +310,7 @@ def test_image_mode_cbc_roundtrip(tmp_path, capsys):
         "--out", str(plain))
     capsys.readouterr()
     assert run("encrypt", "--mode", "cbc", "--format", "bmp-image-mode",
-               "--key-hex", KEY, "--seed", "9",
+               "--key-hex", KEY,
                "--in", str(plain), "--out", str(enc)) == EXIT_OK
     line = capsys.readouterr().out.strip()
     assert line.startswith("iv=")
@@ -305,9 +337,8 @@ def test_image_mode_cbc_decrypt_without_iv_is_usage_error_before_any_read(tmp_pa
 
 @pytest.mark.parametrize("argv", [
     "encrypt --mode ecb --key-hex zz --iv-hex 000102030405060708090a0b0c0d0e0f",
-    "decrypt --mode ecb --key-hex 0011 --seed 3",
     "decrypt --mode cbc --format bmp-image-mode --key-hex zz",
-], ids=["ecb-iv", "seed-without-draw", "image-cbc-decrypt-no-iv"])
+], ids=["ecb-iv", "image-cbc-decrypt-no-iv"])
 def test_flag_rules_come_before_the_key(tmp_path, capsys, raw_file, argv):
     # A usage error is not hidden behind a malformed or short key.
     out = tmp_path / "out.bin"
@@ -411,8 +442,9 @@ def test_bench_cli_small_run(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].startswith("label,")
     assert len(lines) == 3
-    summary = capsys.readouterr().out
-    assert "optf" in summary and "vs base" in summary
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "optf" in captured.err and "vs base" in captured.err
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -476,10 +508,11 @@ def test_bench_cli_refuses_options_its_run_ignores(capsys, flag, value):
     ("--sweep-rounds", "1,2"),
     ("--micro-iters", "300"),
     ("--warmup", "0"),
+    ("--report", "text"),
 ])
 def test_bench_cli_removed_flags_exit_2(capsys, flag, value):
-    # The round sweep is --rounds, --micro takes its own count, and every
-    # cell gets one untimed pass.
+    # The round sweep is --rounds, --micro takes its own count, every
+    # cell gets one untimed pass, and the report is one CSV.
     assert run("bench", flag, value) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -518,7 +551,7 @@ def test_bench_cli_sweep(tmp_path, capsys):
                "--modes", "ecb", "--ops", "encrypt,decrypt", "--rounds", "1,2",
                "--reps", "3", "--out", str(out_csv)) == EXIT_OK
     assert len(out_csv.read_text().strip().splitlines()) == 5
-    lines = capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().err.splitlines()
     assert [line.split(" time ")[0] for line in lines] == [
         f"ecb/{op} 528B key128 base: rounds 1->2" for op in ("decrypt", "encrypt")
     ]
@@ -529,7 +562,7 @@ def test_bench_cli_prints_gains_and_growth(tmp_path, capsys):
     assert run("bench", "--sizes", "512", "--key-sizes", "128", "--modes", "ecb",
                "--variants", "base,optf", "--rounds", "1,2", "--reps", "3",
                "--out", str(tmp_path / "bench.csv")) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().err.splitlines()
     assert [re.sub(r" [+-][\d.]+%", " N%", line) for line in lines] == [
         "ecb/encrypt 528B key128 1r: optf N% vs base (reported: 20%)",
         "ecb/encrypt 528B key128 2r: optf N% vs base (reported: 20%)",
@@ -591,6 +624,16 @@ def test_short_iv_is_input_error_before_any_write(tmp_path, capsys, command, fmt
                "--format", fmt, "--in", str(src), "--out", str(out)) == EXIT_INPUT
     assert capsys.readouterr().err == "error: IV must be 16 bytes, got 15\n"
     assert not out.exists()
+
+
+def test_option_counts():
+    # Each subcommand's options, -h aside: a new knob is a visible edit here.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in sub.choices.items()}
+    assert counts == {"encrypt": 10, "decrypt": 10, "make-image": 4, "analyze": 5,
+                      "bench": 10, "cost": 7}
 
 
 def test_readme_commands_parse():
