@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 usage error (including a flag value out of
 range), 3 input error (missing or malformed files, keys or IVs), 4
 integrity error (padding check failed on decryption).  Every
 subcommand is scriptable: no prompts.  bench --seed seeds its payloads
-and keys; --iv-hex fixes a CBC IV, which CBC encrypt otherwise draws
-from os.urandom.
+and keys.  --iv-hex fixes the CBC IV that encrypt otherwise draws from
+os.urandom; raw decrypt refuses it (the IV is the file's prefix) and
+bmp-image-mode CBC decrypt needs it, both checked before the key.
 
 Raw-format encrypt and decrypt write their output piece by piece, and
 open it only once the first piece exists: every input and padding
@@ -70,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_io_args(p)
         p.add_argument("--mode", required=True, choices=MODES)
         p.add_argument("--iv-hex",
-                       help="16-byte IV as hex (CBC only); raw decrypt with it reads the "
-                            "whole input as ciphertext, with no IV prefix to strip")
+                       help="16-byte IV as hex (CBC only); raw decrypt refuses it and reads "
+                            "the file's IV prefix, bmp-image-mode decrypt needs it")
         p.add_argument("--format", default="raw", choices=("raw", "bmp-image-mode"),
                        help="raw: PKCS#7-padded whole file (CBC output is IV||ciphertext); "
                             "bmp-image-mode: keep the BMP header, encrypt the pixel array, "
@@ -191,6 +192,8 @@ def _cmd_crypt(args) -> int:
     # is not hidden behind a bad key.
     if args.mode == "ecb" and args.iv_hex is not None:
         raise UsageError("--iv-hex is forbidden for ECB")
+    if args.format == "raw" and args.command == "decrypt" and args.iv_hex is not None:
+        raise UsageError("raw decrypt takes no --iv-hex: the IV is the file's prefix")
     if (args.format != "raw" and args.command == "decrypt" and args.mode == "cbc"
             and args.iv_hex is None):
         raise UsageError("bmp-image-mode CBC decrypt needs --iv-hex "
@@ -209,7 +212,7 @@ def _cmd_crypt(args) -> int:
         if args.command == "encrypt":
             pieces = modes.encrypt_pieces(data, ks, args.mode, plan, iv)
         else:
-            pieces = modes.decrypt_pieces(data, ks, args.mode, plan, iv)
+            pieces = modes.decrypt_pieces(data, ks, args.mode, plan)
         # Every input or integrity error raises before the first piece,
         # so a failed run neither creates nor truncates --out.
         first = next(pieces)
@@ -342,7 +345,7 @@ def _cmd_cost(args) -> int:
                                      args.ta, args.to, args.ts)
             text = (f"encrypt: {costmodel.encrypt_cycles(p):g}\n"
                     f"decrypt: {costmodel.decrypt_cycles(p):g}\n")
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an int past any float
         raise UsageError(str(e)) from e
     _write_text(args.out_path, text)
     return EXIT_OK

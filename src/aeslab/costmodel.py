@@ -40,9 +40,15 @@ def encrypt_cycle_coefficients(n_b: int, n_r: int) -> tuple:
     return (c_a, c_o, c_s)
 
 
+def _finite(total: float) -> float:
+    if not math.isfinite(total):
+        raise ValueError(f"cycle count {total} is not finite: unit costs too large")
+    return total
+
+
 def encrypt_cycles(p: CostParams) -> float:
     c_a, c_o, c_s = encrypt_cycle_coefficients(p.n_b, p.n_r)
-    return c_a * p.t_a + c_o * p.t_o + c_s * p.t_s
+    return _finite(c_a * p.t_a + c_o * p.t_o + c_s * p.t_s)
 
 
 def mixcol_delta(p: CostParams) -> float:
@@ -52,7 +58,7 @@ def mixcol_delta(p: CostParams) -> float:
 
 
 def decrypt_cycles(p: CostParams) -> float:
-    return encrypt_cycles(p) + mixcol_delta(p) * (p.n_r - 1)
+    return _finite(encrypt_cycles(p) + mixcol_delta(p) * (p.n_r - 1))
 
 
 def cost_grid_rows(t_a: float = 1.0, t_o: float = 1.0, t_s: float = 1.0) -> list:

@@ -204,22 +204,16 @@ def encrypt_pieces(
         yield piece
 
 
-def decrypt_pieces(
-    blob: bytes,
-    ks: KeySchedule,
-    mode: str,
-    plan: VariantPlan,
-    iv: bytes | None = None,
-):
+def decrypt_pieces(blob: bytes, ks: KeySchedule, mode: str, plan: VariantPlan):
     """Yield the plaintext of a raw-file layout in order.  For CBC the IV
-    is read from the 16-byte prefix unless one is passed explicitly.
+    is the blob's 16-byte prefix.
 
-    Every error (a short or misaligned blob, IV misuse, bad padding)
-    raises before the first yield: the last block is decrypted and
-    unpadded first and yielded after the blocks before it.  A body of at
-    most CHUNK bytes is one piece."""
-    start = 0  # where the ciphertext starts; indexed, not sliced off
-    if mode == "cbc" and iv is None:
+    Every error (a short or misaligned blob, an unknown mode, bad
+    padding) raises before the first yield: the last block is decrypted
+    and unpadded first and yielded after the blocks before it.  A body
+    of at most CHUNK bytes is one piece."""
+    iv, start = None, 0  # start: where the ciphertext begins; not sliced off
+    if mode == "cbc":
         if len(blob) < BLOCK_SIZE:
             raise ValueError("CBC blob shorter than its IV prefix")
         iv, start = blob[:BLOCK_SIZE], BLOCK_SIZE
@@ -252,16 +246,10 @@ def encrypt_blob(
     return b"".join(encrypt_pieces(data, ks, mode, plan, iv))
 
 
-def decrypt_blob(
-    blob: bytes,
-    ks: KeySchedule,
-    mode: str,
-    plan: VariantPlan,
-    iv: bytes | None = None,
-) -> bytes:
-    """Invert encrypt_blob.  For CBC the IV is read from the 16-byte file
-    prefix unless one is passed explicitly."""
-    return b"".join(decrypt_pieces(blob, ks, mode, plan, iv))
+def decrypt_blob(blob: bytes, ks: KeySchedule, mode: str, plan: VariantPlan) -> bytes:
+    """Invert encrypt_blob; for CBC the IV is the 16-byte prefix (an IV
+    held apart from its ciphertext goes to cbc_decrypt)."""
+    return b"".join(decrypt_pieces(blob, ks, mode, plan))
 
 
 def encrypt_with_residual(

@@ -55,19 +55,45 @@ def test_raw_cbc_roundtrip_with_embedded_iv(tmp_path, raw_file):
     assert pt.read_bytes() == raw_file.read_bytes()
 
 
-def test_raw_cbc_explicit_iv(tmp_path, raw_file):
-    ct = tmp_path / "out.enc"
-    pt = tmp_path / "out.dec"
-    assert run("encrypt", "--mode", "cbc", "--key-hex", KEY, "--iv-hex", IV,
-               "--in", str(raw_file), "--out", str(ct)) == EXIT_OK
-    body = ct.read_bytes()
-    assert body[:16].hex() == IV
-    # decrypt ignoring the prefix but passing the IV explicitly
-    trimmed = ct.with_suffix(".trimmed")
-    trimmed.write_bytes(body[16:])
-    assert run("decrypt", "--mode", "cbc", "--key-hex", KEY, "--iv-hex", IV,
-               "--in", str(trimmed), "--out", str(pt)) == EXIT_OK
-    assert pt.read_bytes() == raw_file.read_bytes()
+@pytest.mark.parametrize("iv_source", ["drawn", "iv-hex"])
+@pytest.mark.parametrize("fmt", ["raw", "bmp-image-mode"])
+@pytest.mark.parametrize("mode", ["ecb", "cbc"])
+def test_decrypt_with_the_encrypt_flags_returns_the_input_or_exits_2(
+        tmp_path, capsys, raw_file, mode, fmt, iv_source):
+    # Decrypting with the flags that encrypted a file gives back its
+    # bytes, or refuses with exit 2 and no --out; it never exits 0 with
+    # other bytes.  A drawn IV is passed back only where the file does
+    # not carry it: bmp-image-mode CBC.
+    src = raw_file
+    if fmt != "raw":
+        src = tmp_path / "plain.bmp"
+        assert run("make-image", "--pattern", "gradient", "--width", "8", "--height", "8",
+                   "--out", str(src)) == EXIT_OK
+    flags = ["--mode", mode, "--format", fmt, "--key-hex", KEY]
+    if iv_source == "iv-hex":
+        flags += ["--iv-hex", IV]
+    ct, back = tmp_path / "out.enc", tmp_path / "out.dec"
+    capsys.readouterr()
+    code = run("encrypt", *flags, "--in", str(src), "--out", str(ct))
+    if mode == "ecb" and iv_source == "iv-hex":  # ECB carries no IV
+        assert code == EXIT_USAGE and not ct.exists()
+        return
+    assert code == EXIT_OK
+    if mode == "cbc" and fmt != "raw" and iv_source == "drawn":
+        flags += ["--iv-hex", capsys.readouterr().out.strip().removeprefix("iv=")]
+    code = run("decrypt", *flags, "--in", str(ct), "--out", str(back))
+    if mode == "cbc" and fmt == "raw" and iv_source == "iv-hex":
+        # Raw CBC output is IV || C, and decrypt reads the IV from it,
+        # with or without the prefix left on the file.
+        assert ct.read_bytes()[:16].hex() == IV
+        trimmed = ct.with_suffix(".trimmed")
+        trimmed.write_bytes(ct.read_bytes()[16:])
+        assert run("decrypt", *flags, "--in", str(trimmed), "--out", str(back)) == EXIT_USAGE
+        assert code == EXIT_USAGE and not back.exists()
+        assert "raw decrypt takes no --iv-hex" in capsys.readouterr().err
+        return
+    assert code == EXIT_OK
+    assert back.read_bytes() == src.read_bytes()
 
 
 def test_cbc_encrypt_draws_a_fresh_iv(tmp_path, capsys, raw_file):
@@ -338,7 +364,8 @@ def test_image_mode_cbc_decrypt_without_iv_is_usage_error_before_any_read(tmp_pa
 @pytest.mark.parametrize("argv", [
     "encrypt --mode ecb --key-hex zz --iv-hex 000102030405060708090a0b0c0d0e0f",
     "decrypt --mode cbc --format bmp-image-mode --key-hex zz",
-], ids=["ecb-iv", "image-cbc-decrypt-no-iv"])
+    "decrypt --mode cbc --key-hex zz --iv-hex 000102030405060708090a0b0c0d0e0f",
+], ids=["ecb-iv", "image-cbc-decrypt-no-iv", "raw-decrypt-iv"])
 def test_flag_rules_come_before_the_key(tmp_path, capsys, raw_file, argv):
     # A usage error is not hidden behind a malformed or short key.
     out = tmp_path / "out.bin"
@@ -410,9 +437,7 @@ def test_analyze_needs_a_whole_block_of_pixels(tmp_path, capsys):
 def test_cost_prints_reference_values(capsys):
     assert run("cost", "--nb", "4", "--nr", "10",
                "--ta", "1", "--to", "1", "--ts", "1") == EXIT_OK
-    out = capsys.readouterr().out
-    assert "6168" in out
-    assert "11064" in out
+    assert capsys.readouterr().out == "encrypt: 6168\ndecrypt: 11064\n"
 
 
 def test_cost_grid_csv(capsys):
@@ -429,6 +454,17 @@ def test_cost_rejects_bad_params(capsys):
         assert run("cost", "--ta", value) == EXIT_USAGE
         assert run("cost", "--ts", value, "--grid") == EXIT_USAGE
     assert capsys.readouterr().out == ""
+    # Finite unit costs whose cycle counts overflow a float.
+    for argv in (("--ta", "1e308", "--to", "1e308", "--ts", "1e308"),
+                 ("--grid", "--ta", "1e306", "--ts", "1e306")):
+        assert run("cost", *argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cycle count ")
+        assert "not finite" in err and err.count("\n") == 1
+    # A round count past the largest float, at any unit cost.
+    for ta in ("1", "0"):
+        assert run("cost", "--nr", "1" + "0" * 400, "--ta", ta) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: int too large to convert to float\n")
     # The grid runs over its own (n_b, n_r) pairs, so it would ignore these.
     assert run("cost", "--grid", "--nb", "6", "--nr", "3") == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: --grid takes no --nb, --nr\n")
@@ -611,7 +647,6 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command,fmt", [
     ("encrypt", "raw"),
-    ("decrypt", "raw"),
     ("encrypt", "bmp-image-mode"),
     ("decrypt", "bmp-image-mode"),
 ])

@@ -65,6 +65,20 @@ def test_cost_params_validation():
             CostParams(4, 10, t_a=bad)
         with pytest.raises(ValueError):
             CostParams(4, 10, t_s=bad)
+    # Finite unit costs, cycle counts past the largest float: refused,
+    # not returned as inf or nan.
+    huge = CostParams(4, 10, 1e308, 1e308, 1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        encrypt_cycles(huge)
+    with pytest.raises(ValueError, match="not finite"):
+        decrypt_cycles(huge)
+    # Encryption fits, InvMixColumns' extra 9 * 384 * 1e305 does not.
+    p = CostParams(4, 10, t_a=1e305)
+    assert encrypt_cycles(p) == pytest.approx(1.72e308)
+    with pytest.raises(ValueError, match="not finite"):
+        decrypt_cycles(p)
+    with pytest.raises(ValueError, match="not finite"):
+        cost_grid_rows(t_a=1e306, t_s=1e306)
 
 
 def test_decrypt_cycles_substitution():

@@ -234,8 +234,8 @@ def test_blob_roundtrip_cbc_with_iv_prefix(ks):
     assert len(ct) == len(pkcs7_pad(data))
     assert cbc_decrypt(ct, ks, iv, BASE) == pkcs7_pad(data)
     assert decrypt_blob(blob, ks, "cbc", BASE) == data
-    # explicit IV variant: caller strips the prefix themselves
-    assert decrypt_blob(ct, ks, "cbc", BASE, iv=iv) == data
+    # A caller holding the IV apart from the ciphertext: cbc_decrypt, then unpad.
+    assert pkcs7_unpad(cbc_decrypt(ct, ks, iv, BASE)) == data
 
 
 def test_blob_wrong_key_fails_padding(ks):
@@ -290,8 +290,8 @@ def test_piece_boundaries_are_invisible(ks, mode):
         assert decrypt_blob(blob, ks, mode, plan) == data  # embedded IV, if any
         plain = list(decrypt_pieces(blob, ks, mode, plan))
         assert b"".join(plain) == data and max(map(len, plain)) <= CHUNK
-        if mode == "cbc":
-            assert decrypt_blob(blob[16:], ks, mode, plan, iv=iv) == data  # explicit IV
+        if mode == "cbc":  # the IV held apart from the stripped ciphertext
+            assert pkcs7_unpad(cbc_decrypt(blob[16:], ks, iv, plan)) == data
 
 
 @pytest.mark.parametrize("mode", ["ecb", "cbc"])
@@ -538,6 +538,20 @@ def test_image_block_calls_are_its_distinct_blocks(ks, count_calls, pattern, siz
     assert count_calls(decrypt_with_residual, ct, ks, "ecb", plan) == (pixels, distinct)
 
 
+@pytest.mark.parametrize("mode", ["ecb", "cbc"])
+def test_multi_piece_decrypt_computes_each_block_once(ks, count_calls, mode):
+    # The last block is decrypted and unpadded before the pieces ahead
+    # of it, and not again after them.  Random blocks do not repeat, so
+    # the memo skips none: one call per ciphertext block.
+    plan = make_plan("optf", ks.n_r)
+    data = random.Random(53).randbytes(3 * CHUNK + 4 * 16 + 3)  # padded: 3 * CHUNK + 5 blocks
+    iv = bytes(range(16)) if mode == "cbc" else None
+    blob = encrypt_blob(data, ks, mode, plan, iv)
+    body = len(blob) - (16 if iv else 0)
+    assert body == 3 * CHUNK + 5 * 16
+    assert count_calls(decrypt_blob, blob, ks, mode, plan) == (data, body // 16)
+
+
 # ---------------------------------------------------------------------------
 # Mode/IV rules, each enforced by the wrapper that takes the mode
 
@@ -550,8 +564,6 @@ def test_wrappers_enforce_mode_rules(ks):
         encrypt_blob(b"x", ks, "cbc", BASE)
     with pytest.raises(ValueError, match="ECB must not carry an IV"):
         encrypt_blob(b"x", ks, "ecb", BASE, iv=bytes(16))
-    with pytest.raises(ValueError, match="ECB must not carry an IV"):
-        decrypt_blob(bytes(16), ks, "ecb", BASE, iv=bytes(16))
     with pytest.raises(ValueError, match="IV must be 16 bytes"):
         cbc_encrypt(bytes(16), ks, bytes(8), BASE)
     with pytest.raises(ValueError, match="unknown mode 'ctr'"):
