@@ -3,6 +3,8 @@ histograms, Shannon entropy, histogram flatness, and the duplicate-block
 metric that quantifies ECB texture leakage.
 """
 
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -87,12 +89,20 @@ def flatness_chi_square(h: HistogramReport) -> tuple:
     )
 
 
+def _csv_line(fields) -> str:
+    """One CSV record without its line end: csv.writer quotes a field
+    that holds a comma, a quote or a line break, such as an image path."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
 def histogram_csv_lines(h: HistogramReport, label: str) -> list:
     """One line per bin (gnuplot-friendly): image label, bin, blue,
     green, red."""
     lines = ["image,bin,blue,green,red"]
     for v in range(256):
-        lines.append(f"{label},{v},{h.counts[0][v]},{h.counts[1][v]},{h.counts[2][v]}")
+        lines.append(_csv_line((label, v, h.counts[0][v], h.counts[1][v], h.counts[2][v])))
     return lines
 
 
@@ -104,11 +114,11 @@ METRICS_CSV_HEADER = (
 
 def metrics_csv_line(label: str, h: HistogramReport, leak: LeakageReport) -> str:
     chi = flatness_chi_square(h)
-    return (
-        f"{label},{h.total_pixels},{leak.entropy_bits_per_byte:.6f},"
-        f"{leak.total_blocks},{leak.distinct_blocks},{leak.distinct_ratio:.6f},"
-        f"{chi[0]:.3f},{chi[1]:.3f},{chi[2]:.3f}"
-    )
+    return _csv_line((
+        label, h.total_pixels, f"{leak.entropy_bits_per_byte:.6f}",
+        leak.total_blocks, leak.distinct_blocks, f"{leak.distinct_ratio:.6f}",
+        *(f"{c:.3f}" for c in chi),
+    ))
 
 
 def metrics_text_lines(label: str, h: HistogramReport, leak: LeakageReport) -> list:

@@ -16,7 +16,9 @@ error is raised before then.
 bench has two kinds of run: the timing matrix, which is a round sweep
 when --rounds lists several counts, and --micro [ITERS], the
 per-transform microbenchmarks, which refuses the options that shape
-the matrix.  cost --grid likewise refuses --nb and --nr.
+the matrix.  cost has one kind of run: --nb and --nr take
+comma-separated lists, and it prints one CSV row per (N_b, N_r) pair.
+analyze reports on every image given to --in, in order.
 """
 
 import argparse
@@ -35,10 +37,6 @@ EXIT_INTEGRITY = 4
 
 
 class UsageError(Exception):
-    pass
-
-
-class InputError(ValueError):
     pass
 
 
@@ -85,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", required=True)
 
     p = sub.add_parser("analyze", help="histogram/entropy/leakage report for BMP images")
-    p.add_argument("--in", dest="in_path", required=True, help="image to analyze")
-    p.add_argument("--compare", help="second image (e.g. its encrypted counterpart)")
+    p.add_argument("--in", dest="in_paths", nargs="+", required=True,
+                   help="images to analyze, e.g. a bitmap and its encryption")
     p.add_argument("--report", default="text", choices=("csv", "text"))
     p.add_argument("--out", dest="out_path", help="write report here (default stdout)")
     p.add_argument("--hist-out", help="also write per-bin histogram CSV here")
@@ -112,14 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", help="write the CSV here (default stdout)")
 
     p = sub.add_parser("cost", help="analytic operation-cost model")
-    p.add_argument("--nb", type=int, default=None, help="block length N_b (default: 4)")
-    p.add_argument("--nr", type=int, default=None, help="round count N_r (default: 10)")
+    p.add_argument("--nb", default="4", help="comma-separated block lengths N_b (default: 4)")
+    p.add_argument("--nr", default="10", help="comma-separated round counts N_r (default: 10)")
     p.add_argument("--ta", type=float, default=1.0)
     p.add_argument("--to", type=float, default=1.0)
     p.add_argument("--ts", type=float, default=1.0)
-    p.add_argument("--grid", action="store_true",
-                   help="emit a CSV grid over (n_b, n_r, key size) instead of one "
-                        "(--nb, --nr) point")
     p.add_argument("--out", dest="out_path", help="write output here (default stdout)")
 
     return parser
@@ -130,7 +125,7 @@ def _read_file(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
+        raise ValueError(f"cannot read {path}: {e}") from e
 
 
 def _write_file(path: str, pieces) -> None:
@@ -139,7 +134,7 @@ def _write_file(path: str, pieces) -> None:
         with open(path, "wb") as fh:
             fh.writelines(pieces)
     except OSError as e:
-        raise InputError(f"cannot write {path}: {e}") from e
+        raise ValueError(f"cannot write {path}: {e}") from e
 
 
 def _write_text(path, text: str) -> None:
@@ -150,14 +145,14 @@ def _write_text(path, text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as e:
-        raise InputError(f"cannot write {path}: {e}") from e
+        raise ValueError(f"cannot write {path}: {e}") from e
 
 
 def _parse_hex(text: str, what: str) -> bytes:
     try:
         return bytes.fromhex(text.strip())
     except ValueError as e:
-        raise InputError(f"malformed hex for {what}: {e}") from e
+        raise ValueError(f"malformed hex for {what}: {e}") from e
 
 
 def _load_key(args) -> bytes:
@@ -170,7 +165,7 @@ def _load_key(args) -> bytes:
     else:
         raise UsageError("a key is required (--key-hex or --key-file)")
     if len(key) not in ROUNDS_BY_KEY_BYTES:
-        raise InputError(f"key must be 16, 24, or 32 bytes, got {len(key)}")
+        raise ValueError(f"key must be 16, 24, or 32 bytes, got {len(key)}")
     if args.key_size is not None and len(key) * 8 != args.key_size:
         raise UsageError(
             f"--key-size {args.key_size} does not match the {len(key) * 8}-bit key"
@@ -182,7 +177,7 @@ def _parse_image(label: str, data: bytes):
     try:
         return bmp.parse_bmp(data)
     except bmp.BmpError as e:
-        raise InputError(f"{label}: {e}") from e
+        raise ValueError(f"{label}: {e}") from e
 
 
 def _cmd_crypt(args) -> int:
@@ -247,9 +242,7 @@ def _cmd_make_image(args) -> int:
 def _cmd_analyze(args) -> int:
     from . import analysis
 
-    inputs = [(args.in_path, _read_file(args.in_path))]
-    if args.compare:
-        inputs.append((args.compare, _read_file(args.compare)))
+    inputs = [(path, _read_file(path)) for path in args.in_paths]
 
     images = [(label, _parse_image(label, data)) for label, data in inputs]
     reports = [(label, analysis.histogram(img), analysis.duplicate_block_ratio(img.pixels))
@@ -329,25 +322,17 @@ def _cmd_bench(args) -> int:
 def _cmd_cost(args) -> int:
     from . import costmodel
 
+    nbs, nrs = _split_ints(args.nb, "--nb"), _split_ints(args.nr, "--nr")
+    lines = ["nb,nr,encrypt_cycles,decrypt_cycles"]
     try:
-        if args.grid:
-            given = [flag for flag, value in (("--nb", args.nb), ("--nr", args.nr))
-                     if value is not None]
-            if given:
-                raise UsageError(f"--grid takes no {', '.join(given)}")
-            rows = costmodel.cost_grid_rows(t_a=args.ta, t_o=args.to, t_s=args.ts)
-            lines = ["nb,nr,key_bits,encrypt_cycles,decrypt_cycles"]
-            lines += [f"{nb},{nr},{kb},{e:g},{d:g}" for nb, nr, kb, e, d in rows]
-            text = "\n".join(lines) + "\n"
-        else:
-            p = costmodel.CostParams(4 if args.nb is None else args.nb,
-                                     10 if args.nr is None else args.nr,
-                                     args.ta, args.to, args.ts)
-            text = (f"encrypt: {costmodel.encrypt_cycles(p):g}\n"
-                    f"decrypt: {costmodel.decrypt_cycles(p):g}\n")
+        for nb in nbs:
+            for nr in nrs:
+                p = costmodel.CostParams(nb, nr, args.ta, args.to, args.ts)
+                lines.append(f"{nb},{nr},{costmodel.encrypt_cycles(p):g},"
+                             f"{costmodel.decrypt_cycles(p):g}")
     except (ValueError, OverflowError) as e:  # OverflowError: an int past any float
         raise UsageError(str(e)) from e
-    _write_text(args.out_path, text)
+    _write_text(args.out_path, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -10,10 +10,6 @@ measured timings for qualitative comparison only.
 import math
 from dataclasses import dataclass
 
-from .core import ROUNDS_BY_KEY_BYTES
-
-STANDARD_KEY_ROUNDS = tuple((8 * n, n_r) for n, n_r in ROUNDS_BY_KEY_BYTES.items())
-
 
 @dataclass(frozen=True)
 class CostParams:
@@ -59,15 +55,3 @@ def mixcol_delta(p: CostParams) -> float:
 
 def decrypt_cycles(p: CostParams) -> float:
     return _finite(encrypt_cycles(p) + mixcol_delta(p) * (p.n_r - 1))
-
-
-def cost_grid_rows(t_a: float = 1.0, t_o: float = 1.0, t_s: float = 1.0) -> list:
-    """Rows of (n_b, n_r, key_bits, encrypt_cycles, decrypt_cycles) over
-    the block lengths N_b in (4, 6, 8) and the standard key sizes, for
-    the CSV grid emitted by the cost CLI."""
-    rows = []
-    for n_b in (4, 6, 8):
-        for key_bits, n_r in STANDARD_KEY_ROUNDS:
-            p = CostParams(n_b, n_r, t_a, t_o, t_s)
-            rows.append((n_b, n_r, key_bits, encrypt_cycles(p), decrypt_cycles(p)))
-    return rows

@@ -217,7 +217,7 @@ def test_emit_report_csv(small_results):
     assert len(rows) == 1 + len(small_results)
 
 
-def test_emit_report_text_and_errors():
+def test_emit_report_refuses_no_results():
     with pytest.raises(ValueError):
         emit_report([])
 
@@ -280,7 +280,7 @@ def test_results_record_dispersion(small_results):
         assert r.std_s <= samples_spread + 1e-12 or samples_spread == 0
 
 
-def test_matrix_output_check_is_first_warmup_pass(monkeypatch):
+def test_matrix_output_check_is_the_untimed_pass(monkeypatch):
     # The Base encrypt cell's checked run is also the reference, and every
     # cell's checked run is its one untimed pass.
     runs = []

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import random
 import re
 import shlex
@@ -319,8 +320,7 @@ def test_make_image_and_image_mode_ecb_leak(tmp_path, capsys):
     assert len(enc_bytes) == len(plain_bytes)  # size preserved
     assert enc_bytes[:54] == plain_bytes[:54]  # header preserved
     capsys.readouterr()
-    assert run("analyze", "--in", str(plain), "--compare", str(enc),
-               "--report", "csv") == EXIT_OK
+    assert run("analyze", "--in", str(plain), str(enc), "--report", "csv") == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].startswith("image,")
     enc_row = out[2].split(",")
@@ -415,6 +415,20 @@ def test_analyze_histogram_output(tmp_path):
     assert len(lines) == 257
 
 
+def test_analyze_csv_quotes_image_paths(tmp_path, capsys):
+    # A path holding a comma, a quote and a line break stays one field.
+    plain = tmp_path / 'a,"b\nc.bmp'
+    hist = tmp_path / "hist.csv"
+    assert run("make-image", "--pattern", "gradient", "--width", "16", "--height", "16",
+               "--out", str(plain)) == EXIT_OK
+    assert run("analyze", "--in", str(plain), str(plain), "--report", "csv",
+               "--hist-out", str(hist)) == EXIT_OK
+    for text in (capsys.readouterr().out, hist.read_text()):
+        rows = list(csv.reader(io.StringIO(text)))
+        assert {len(row) for row in rows} == {len(rows[0])}
+        assert [row[0] for row in rows[1:]] == [str(plain)] * (len(rows) - 1)
+
+
 def test_analyze_rejects_non_bmp(tmp_path, raw_file):
     assert run("analyze", "--in", str(raw_file)) == EXIT_INPUT
 
@@ -429,7 +443,7 @@ def test_analyze_needs_a_whole_block_of_pixels(tmp_path, capsys):
     assert run("encrypt", "--mode", "ecb", "--format", "bmp-image-mode",
                "--key-hex", KEY, "--in", str(plain), "--out", str(enc)) == EXIT_OK
     capsys.readouterr()
-    for args in (("--in", str(plain)), ("--in", str(plain), "--compare", str(enc))):
+    for args in (("--in", str(plain)), ("--in", str(plain), str(enc))):
         assert run("analyze", *args) == EXIT_INPUT
         assert capsys.readouterr() == ("", "error: need at least one 16-byte block, got 4 bytes\n")
 
@@ -437,26 +451,38 @@ def test_analyze_needs_a_whole_block_of_pixels(tmp_path, capsys):
 def test_cost_prints_reference_values(capsys):
     assert run("cost", "--nb", "4", "--nr", "10",
                "--ta", "1", "--to", "1", "--ts", "1") == EXIT_OK
-    assert capsys.readouterr().out == "encrypt: 6168\ndecrypt: 11064\n"
+    assert capsys.readouterr().out == "nb,nr,encrypt_cycles,decrypt_cycles\n4,10,6168,11064\n"
+    # 4 and 10 are the defaults.
+    assert run("cost") == EXIT_OK
+    assert capsys.readouterr().out == "nb,nr,encrypt_cycles,decrypt_cycles\n4,10,6168,11064\n"
 
 
 def test_cost_grid_csv(capsys):
-    assert run("cost", "--grid") == EXIT_OK
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "nb,nr,key_bits,encrypt_cycles,decrypt_cycles"
-    assert len(lines) == 10
-    assert any(line.startswith("4,10,128,6168,11064") for line in lines)
+    # One row per (N_b, N_r) pair, N_b the outer loop.
+    assert run("cost", "--nb", "4,6,8", "--nr", "10,12,14") == EXIT_OK
+    assert capsys.readouterr().out == (
+        "nb,nr,encrypt_cycles,decrypt_cycles\n"
+        "4,10,6168,11064\n"
+        "4,12,7512,13496\n"
+        "4,14,8856,15928\n"
+        "6,10,8766,16110\n"
+        "6,12,10674,19650\n"
+        "6,14,12582,23190\n"
+        "8,10,11364,21156\n"
+        "8,12,13836,25804\n"
+        "8,14,16308,30452\n"
+    )
 
 
 def test_cost_rejects_bad_params(capsys):
     assert run("cost", "--nb", "0") == EXIT_USAGE
     for value in ("-1", "nan", "inf"):
         assert run("cost", "--ta", value) == EXIT_USAGE
-        assert run("cost", "--ts", value, "--grid") == EXIT_USAGE
+        assert run("cost", "--ts", value, "--nb", "4,6,8", "--nr", "10,12,14") == EXIT_USAGE
     assert capsys.readouterr().out == ""
     # Finite unit costs whose cycle counts overflow a float.
     for argv in (("--ta", "1e308", "--to", "1e308", "--ts", "1e308"),
-                 ("--grid", "--ta", "1e306", "--ts", "1e306")):
+                 ("--nb", "4,6,8", "--nr", "10,12,14", "--ta", "1e306", "--ts", "1e306")):
         assert run("cost", *argv) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: cycle count ")
@@ -465,9 +491,18 @@ def test_cost_rejects_bad_params(capsys):
     for ta in ("1", "0"):
         assert run("cost", "--nr", "1" + "0" * 400, "--ta", ta) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: int too large to convert to float\n")
-    # The grid runs over its own (n_b, n_r) pairs, so it would ignore these.
-    assert run("cost", "--grid", "--nb", "6", "--nr", "3") == EXIT_USAGE
-    assert capsys.readouterr() == ("", "error: --grid takes no --nb, --nr\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("cost", "--grid"), "--grid"),
+    (("analyze", "--in", "a.bmp", "--compare", "b.bmp"), "--compare"),
+])
+def test_cost_and_analyze_removed_flags_exit_2(capsys, argv, flag):
+    # cost --nb/--nr take lists, and analyze --in takes every image.
+    assert run(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
 
 
 def test_bench_cli_small_run(tmp_path, capsys):
@@ -632,7 +667,7 @@ def test_bench_cli_without_out_keeps_stdout_a_report(capsys):
     ("analyze", "--in", "{image}"),
     ("bench", "--micro", "300", "--reps", "3"),
     ("cost",),
-    ("cost", "--grid"),
+    ("cost", "--nb", "4,6,8", "--nr", "10,12,14"),
 ], ids=["make-image", "analyze", "bench", "cost", "cost-grid"])
 def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
     image = tmp_path / "plain.bmp"
@@ -667,8 +702,8 @@ def test_option_counts():
                if isinstance(a, argparse._SubParsersAction))
     counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
               for name, p in sub.choices.items()}
-    assert counts == {"encrypt": 10, "decrypt": 10, "make-image": 4, "analyze": 5,
-                      "bench": 10, "cost": 7}
+    assert counts == {"encrypt": 10, "decrypt": 10, "make-image": 4, "analyze": 4,
+                      "bench": 10, "cost": 6}
 
 
 def test_readme_commands_parse():

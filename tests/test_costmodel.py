@@ -5,7 +5,6 @@ import sympy
 
 from aeslab.costmodel import (
     CostParams,
-    cost_grid_rows,
     decrypt_cycles,
     encrypt_cycle_coefficients,
     encrypt_cycles,
@@ -77,8 +76,6 @@ def test_cost_params_validation():
     assert encrypt_cycles(p) == pytest.approx(1.72e308)
     with pytest.raises(ValueError, match="not finite"):
         decrypt_cycles(p)
-    with pytest.raises(ValueError, match="not finite"):
-        cost_grid_rows(t_a=1e306, t_s=1e306)
 
 
 def test_decrypt_cycles_substitution():
@@ -130,11 +127,3 @@ def test_linearity_in_unit_costs():
         pk = CostParams(4, 10, k * ta, k * to, k * ts)
         assert encrypt_cycles(pk) == pytest.approx(k * encrypt_cycles(p1))
         assert decrypt_cycles(pk) == pytest.approx(k * decrypt_cycles(p1))
-
-
-def test_cost_grid_shape():
-    rows = cost_grid_rows()
-    assert len(rows) == 9  # 3 block lengths x 3 standard key/round pairs
-    assert (4, 10, 128, 6168.0, 11064.0) in [
-        (nb, nr, kb, float(e), float(d)) for nb, nr, kb, e, d in rows
-    ]
