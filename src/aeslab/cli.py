@@ -267,12 +267,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _split_ints(text: str, what: str) -> tuple:
+    """The comma-separated positive integers of flag `what`, each listed
+    once; an empty entry or a repeat is a usage error."""
+    parts = text.split(",")
+    if "" in parts:
+        raise UsageError(f"bad {what}: empty entry in {text!r}")
     try:
-        values = tuple(int(part) for part in text.split(",") if part)
+        values = tuple(int(part) for part in parts)
     except ValueError as e:
         raise UsageError(f"bad {what}: {e}") from e
-    if not values or min(values) < 1:
+    if min(values) < 1:
         raise UsageError(f"bad {what}: expected positive integers, got {text!r}")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise UsageError(f"bad {what}: {v} listed more than once")
     return values
 
 

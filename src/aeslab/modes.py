@@ -10,24 +10,32 @@ by block.  CBC decryption does not: with D the block decryption applied
 to every block of the ciphertext C, the plaintext is
 D(C) xor (IV || C[:-16]), one XOR over the whole message.
 
-ECB in both directions and CBC decryption's D(C) run one block loop,
-which computes each distinct input block once among those since its
-memo was last cleared; the memo is cleared at MEMO_BLOCKS blocks, so
-it stays small whatever the input.  The block functions are pure, so
-the output is unchanged.  What the loop skips depends only on which
-input blocks are equal: for ECB encryption equal plaintext blocks are
-equal ciphertext blocks, which the output already shows, and for
-decryption the input is the ciphertext itself.  A flat bitmap is mostly
-repeated blocks, so its ECB runs faster for the same reason it leaks.
-CBC encryption's chained inputs do not repeat, and it calls the block
-function for every block.
+ECB in both directions and CBC decryption's D(C) take one of two paths.
+An all-fused (OptF) plan over at least WINDOW_MIN_BLOCKS blocks runs
+variants.fused_window, the fused T-table rounds over every block of a
+window at once, on windows of at most WINDOW_BLOCKS blocks; the window
+path computes every block, repeats included.  Any other plan, and a
+shorter input, runs the block loop, which computes each distinct input
+block once among those since its memo was last cleared; the memo is
+cleared at MEMO_BLOCKS blocks, so it stays small whatever the input.
+The block functions are pure, so the output is the same on either path.
+What the block loop skips depends only on which input blocks are equal:
+for ECB encryption equal plaintext blocks are equal ciphertext blocks,
+which the output already shows, and for decryption the input is the
+ciphertext itself.  A flat bitmap is mostly repeated blocks, so under a
+per-block plan its ECB runs faster for the same reason it leaks; under
+OptF its rate is the cipher's.  CBC encryption's chained inputs do not
+repeat, and it calls the block function for every block, OptF included.
 
-Each mode loop appends its blocks to one bytearray and returns its
+Each block loop appends its blocks to one bytearray and returns its
 bytes: about twice its input in transient memory (4-5x for CBC
 decryption's whole-message XOR on ints), where a list of blocks joined
 at the end peaks near 10x.  Slice stores into a preallocated buffer
 would use less memory but about twice the per-block loop overhead of
-an append.
+an append.  The window path stores each window into a buffer of the
+input's length, so it holds that buffer and its bytes copy, plus the
+round keys repeated over one window (4 KiB per round key) and a few
+window-sized temporaries: about 2.3x a 64 KiB input for AES-128.
 
 The raw-file layout runs those loops on pieces of at most CHUNK bytes.
 encrypt_pieces/decrypt_pieces yield it piece by piece, CBC carrying the
@@ -40,7 +48,13 @@ decrypt_blob join the pieces.
 import os
 
 from .core import BLOCK_SIZE, KeySchedule
-from .variants import VariantPlan, decrypt_block_variant, encrypt_block_variant
+from .variants import (
+    VariantPlan,
+    decrypt_block_variant,
+    encrypt_block_variant,
+    fused_window,
+    window_keys,
+)
 
 MODES = ("ecb", "cbc")
 
@@ -50,6 +64,15 @@ CHUNK = 16 * 1024
 
 # Most input blocks _each_block keeps with their outputs: about 34 KB.
 MEMO_BLOCKS = 256
+
+# An all-fused plan over at least WINDOW_MIN_BLOCKS blocks runs
+# fused_window on windows of at most WINDOW_BLOCKS blocks.  Measured
+# against the block loop, the window form is slower at 8 blocks and
+# faster from 16; a 256-block window costs 10-20% more per block than a
+# 1024-block one, for well under half the transient memory (about 2.3x
+# against 6x a 64 KiB input).
+WINDOW_MIN_BLOCKS = 16
+WINDOW_BLOCKS = 256
 
 
 class PaddingError(ValueError):
@@ -86,9 +109,9 @@ def _require_iv(iv: bytes) -> None:
         raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
 
 
-# The modes look the block functions up in this module's globals once
-# per call, so a wrapper set on this module (a tracer) sees every block
-# they compute.
+# The modes look the block functions and the window routine up in this
+# module's globals when they run, so a wrapper set on this module (a
+# tracer) sees every block or window they compute.
 
 
 def _each_block(fn, data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytearray:
@@ -112,16 +135,40 @@ def _each_block(fn, data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytearra
     return out
 
 
+def _each_window(data: bytes, ks: KeySchedule, inverse: bool) -> bytearray:
+    """fused_window over successive windows of WINDOW_BLOCKS blocks of
+    data (the last may be shorter), stored into one buffer of the
+    data's length."""
+    out = bytearray(len(data))
+    step = WINDOW_BLOCKS * BLOCK_SIZE
+    full = window_keys(ks, WINDOW_BLOCKS, inverse) if len(data) >= step else None
+    for i in range(0, len(data), step):
+        x = data[i:i + step]
+        keys = full if len(x) == step else window_keys(ks, len(x) // BLOCK_SIZE, inverse)
+        out[i:i + step] = fused_window(x, keys, inverse)
+    return out
+
+
+def _all_blocks(data: bytes, ks: KeySchedule, plan: VariantPlan, inverse: bool) -> bytearray:
+    """The block cipher (its inverse when inverse) of every block of
+    data: the window path for an all-fused plan over at least
+    WINDOW_MIN_BLOCKS blocks, the memo loop otherwise."""
+    if len(data) >= WINDOW_MIN_BLOCKS * BLOCK_SIZE and all(plan.round_flags):
+        return _each_window(data, ks, inverse)
+    fn = decrypt_block_variant if inverse else encrypt_block_variant
+    return _each_block(fn, data, ks, plan)
+
+
 def ecb_encrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
     """Each block encrypted independently; equal plaintext blocks give
     equal ciphertext blocks."""
     _require_aligned(len(data))
-    return bytes(_each_block(encrypt_block_variant, data, ks, plan))
+    return bytes(_all_blocks(data, ks, plan, False))
 
 
 def ecb_decrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
     _require_aligned(len(data))
-    return bytes(_each_block(decrypt_block_variant, data, ks, plan))
+    return bytes(_all_blocks(data, ks, plan, True))
 
 
 def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
@@ -142,7 +189,7 @@ def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
     _require_aligned(len(data))
     _require_iv(iv)
     n = len(data)
-    out = _each_block(decrypt_block_variant, data, ks, plan)
+    out = _all_blocks(data, ks, plan, True)
     # IV || C[:-16] as one int: IV above C, shifted down one block.
     chain = (int.from_bytes(iv, "big") << 8 * n | int.from_bytes(data, "big")) >> 128
     return (int.from_bytes(out, "big") ^ chain).to_bytes(n, "big")

@@ -37,6 +37,18 @@ these baseline stages call core.round_keys, so an all-fused (OptF)
 plan never derives the schedule's round-key matrices.  The
 per-transform functions below work on the matrix and serve the
 transform microbenchmarks.
+
+OptF also has a window form, fused_window, which the modes run on
+every block of a window at once.  It is the same fused round with the
+same tables and key words, taken byte lane by byte lane: byte i of an
+output column word is the XOR over k of lane (i - k) mod 4 of T-table
+0 at byte k of the shifted column, so a round is (Inv)ShiftRows as 16
+extended-slice copies over the window, one translate by each of
+gf256's four T-table lanes, lanes 1-3 rotated within each 32-bit word
+(T-table k is table 0 rotated by k bytes), and the XORs, with the
+round key repeated once per block, on the window as one int.
+Decryption runs the equivalent inverse cipher on dec_words, as
+decrypt_block_variant's fused stages do.
 """
 
 import struct
@@ -53,7 +65,16 @@ from .core import (
     round_keys,
     store_state,
 )
-from .gf256 import INV_S_BOX, MUL_TABLE, S_BOX, T_DEC, T_ENC, ReadOnly
+from .gf256 import (
+    INV_S_BOX,
+    MUL_TABLE,
+    S_BOX,
+    T_DEC,
+    T_DEC_LANES,
+    T_ENC,
+    T_ENC_LANES,
+    ReadOnly,
+)
 # Read here by the package's public names and by perfbench's table timings.
 from .gf256 import build_t_tables  # noqa: F401
 
@@ -251,3 +272,55 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
     s0, s1, s2, s3 = _BLOCK_WORDS.unpack((x * 13)[::13].translate(INV_S_BOX))
     return pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
 
+
+# ---------------------------------------------------------------------------
+# The fused rounds over a window of blocks at once
+
+def window_keys(ks: KeySchedule, blocks: int, inverse: bool) -> tuple:
+    """The round keys of an all-fused plan in the order fused_window adds
+    them, each repeated once per block of a window of the given number
+    of blocks, as ints: enc_words first to last, or for decryption the
+    equivalent inverse cipher's dec_words last to first."""
+    words = dec_words(ks)[::-1] if inverse else ks.enc_words
+    return tuple(int.from_bytes(_BLOCK_WORDS.pack(*k) * blocks, "big") for k in words)
+
+
+def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytes:
+    """Every block of x through an all-fused plan at once, bit-identical
+    to encrypt_block_variant (decrypt_block_variant when inverse) on each
+    block; keys is window_keys for len(x) // 16 blocks.
+
+    The state is the whole window, one int between rounds.  A middle
+    round is the block kernels' fused round, byte lane by byte lane:
+    (Inv)ShiftRows as 16 extended-slice copies, one translate by each
+    of the four T-table lanes, lanes 1-3 rotated within each 32-bit
+    word by stride-4 slice copies, then XORs with the round key.  The
+    final round is (Inv)ShiftRows, a translate through the (inverse)
+    S-box and the last key."""
+    # Byte j of a block's (Inv)ShiftRows is its byte stride * j mod 16,
+    # as in the kernels' (x * 5)[::5] and (x * 13)[::13].  T-table k is
+    # table 0 rotated right by k bytes, so byte i of lane k's word goes
+    # to byte (i + k) mod 4.
+    if inverse:
+        lanes, box, stride = T_DEC_LANES, INV_S_BOX, 13
+    else:
+        lanes, box, stride = T_ENC_LANES, S_BOX, 5
+    shift = [(j, stride * j % 16) for j in range(16)]
+    n = len(x)
+    y = bytearray(n)
+    r = bytearray(n)
+    v = int.from_bytes(x, "big") ^ keys[0]
+    for key in keys[1:-1]:
+        x = v.to_bytes(n, "big")
+        for j, s in shift:
+            y[j::16] = x[s::16]
+        v = int.from_bytes(y.translate(lanes[0]), "big") ^ key
+        for k in 1, 2, 3:
+            b = y.translate(lanes[k])
+            for i in range(4):
+                r[(i + k) % 4::4] = b[i::4]
+            v ^= int.from_bytes(r, "big")
+    x = v.to_bytes(n, "big")
+    for j, s in shift:
+        y[j::16] = x[s::16]
+    return (int.from_bytes(y.translate(box), "big") ^ keys[-1]).to_bytes(n, "big")

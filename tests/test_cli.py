@@ -202,12 +202,14 @@ def test_raw_in_place_roundtrip(tmp_path, mode):
 
 
 def test_raw_file_peak_memory_is_input_plus_a_piece(tmp_path, monkeypatch):
-    # Identity block functions keep the kernels' own allocations (and
-    # their time under tracemalloc) out, so the peak counts the copies
-    # the raw layout makes: the input read whole plus about one piece.
+    # Identity block functions and window routine keep the kernels' own
+    # allocations (and their time under tracemalloc) out, so the peak
+    # counts the copies the raw layout makes: the input read whole plus
+    # about one piece.
     identity = lambda block, ks, plan: block  # noqa: E731
     monkeypatch.setattr(modes, "encrypt_block_variant", identity)
     monkeypatch.setattr(modes, "decrypt_block_variant", identity)
+    monkeypatch.setattr(modes, "fused_window", lambda x, keys, inverse: x)
     size = 1 << 20
     data = random.Random(84).randbytes(size)
     plain, ct, back = tmp_path / "plain.bin", tmp_path / "ct.bin", tmp_path / "back.bin"
@@ -595,8 +597,22 @@ def test_bench_cli_refuses_repeated_values(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     assert run("bench", "--sizes", "64,64", "--rounds", "2,2", "--modes", "ecb,ecb",
                "--variants", "optf", "--reps", "3", "--out", str(out_csv)) == EXIT_USAGE
-    assert capsys.readouterr() == ("", "error: sizes lists 64 more than once\n")
+    assert capsys.readouterr() == ("", "error: bad --sizes: 64 listed more than once\n")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("cost", "--nb", "4,4", "--nr", "10"), "bad --nb: 4 listed more than once"),
+    (("cost", "--nr", "10,,12"), "bad --nr: empty entry in '10,,12'"),
+    (("cost", "--nb", "4,"), "bad --nb: empty entry in '4,'"),
+    (("bench", "--sizes", "16,,32", "--reps", "3"), "bad --sizes: empty entry in '16,,32'"),
+    (("bench", "--sizes", "16", "--key-sizes", "128,256,128", "--reps", "3"),
+     "bad --key-sizes: 128 listed more than once"),
+])
+def test_int_lists_refuse_empty_and_repeated_entries(capsys, argv, message):
+    # An empty entry or a repeat would print or time the same row twice.
+    assert run(*argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,flags", [

@@ -26,12 +26,15 @@ from aeslab.modes import (
     pkcs7_unpad,
     random_iv,
 )
-from aeslab.variants import VARIANT_IDS, make_plan
+from aeslab.variants import VARIANT_IDS, VariantPlan, make_plan
 
 from reference import aes_decrypt_oracle, aes_encrypt_oracle, cbc_encrypt_oracle
 
 # The AES-128 Base plan: the core round functions on every round.
 BASE = make_plan("base", 10)
+# AES-128 with every round fused but the final one: a per-block plan, so
+# the modes run it through the memo loop at any length.
+PER_BLOCK = VariantPlan((True,) * 9 + (False,))
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 
@@ -490,7 +493,7 @@ def count_calls(monkeypatch):
 
 
 def test_block_calls_for_repeated_blocks(ks, count_calls):
-    plan = make_plan("optf", ks.n_r)
+    plan = PER_BLOCK
     zeros = bytes(16 * 64)
     ct, n = count_calls(ecb_encrypt, zeros, ks, plan)
     assert n == 1
@@ -513,7 +516,7 @@ def test_memo_holds_at_most_its_bound(ks, count_calls):
     # its 256 entries, which clears it, so the first block is computed
     # again, and so it is after 300.
     assert modes.MEMO_BLOCKS == 256
-    plan = make_plan("optf", ks.n_r)
+    plan = PER_BLOCK
     distinct = [i.to_bytes(16, "big") for i in range(300)]
     for n, calls in ((256, 256), (257, 258), (300, 301)):
         blocks = distinct[:n] + distinct[:1]
@@ -532,7 +535,7 @@ def test_image_block_calls_are_its_distinct_blocks(ks, count_calls, pattern, siz
     # each distinct block exactly once.
     pixels = bmp.make_test_image(pattern, size, size).pixels
     distinct = analysis.duplicate_block_ratio(pixels).distinct_blocks
-    plan = make_plan("optf", ks.n_r)
+    plan = PER_BLOCK
     ct, n = count_calls(encrypt_with_residual, pixels, ks, "ecb", plan)
     assert n == distinct
     assert count_calls(decrypt_with_residual, ct, ks, "ecb", plan) == (pixels, distinct)
@@ -543,13 +546,92 @@ def test_multi_piece_decrypt_computes_each_block_once(ks, count_calls, mode):
     # The last block is decrypted and unpadded before the pieces ahead
     # of it, and not again after them.  Random blocks do not repeat, so
     # the memo skips none: one call per ciphertext block.
-    plan = make_plan("optf", ks.n_r)
+    plan = PER_BLOCK
     data = random.Random(53).randbytes(3 * CHUNK + 4 * 16 + 3)  # padded: 3 * CHUNK + 5 blocks
     iv = bytes(range(16)) if mode == "cbc" else None
     blob = encrypt_blob(data, ks, mode, plan, iv)
     body = len(blob) - (16 if iv else 0)
     assert body == 3 * CHUNK + 5 * 16
     assert count_calls(decrypt_blob, blob, ks, mode, plan) == (data, body // 16)
+
+
+# ---------------------------------------------------------------------------
+# The window path: an all-fused plan over at least WINDOW_MIN_BLOCKS
+# blocks runs fused_window on windows of WINDOW_BLOCKS blocks
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    key_bytes=st.sampled_from((16, 24, 32)),
+    n_r=st.integers(1, 14),
+    key=st.binary(min_size=32, max_size=32),
+    iv=st.binary(min_size=16, max_size=16),
+    pool=st.lists(st.binary(min_size=16, max_size=16), min_size=2, max_size=6, unique=True),
+    blocks=st.one_of(st.sampled_from((15, 16, 17, 255, 256, 257)), st.integers(0, 600)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(key_bytes=16, n_r=10, key=bytes(32), iv=bytes(16), pool=[bytes(16), bytes(range(16))],
+         blocks=16, seed=0)
+@example(key_bytes=24, n_r=1, key=bytes(range(32)), iv=bytes(range(16)),
+         pool=[bytes(16), bytes([1] * 16)], blocks=257, seed=1)
+@example(key_bytes=32, n_r=14, key=bytes(range(32)), iv=bytes(16),
+         pool=[bytes(range(16)), bytes(range(16, 32)), bytes(16)], blocks=600, seed=2)
+def test_window_path_matches_oracle_property(key_bytes, n_r, key, iv, pool, blocks, seed):
+    # The blocks are drawn from a pool of 2-6 in random order, so the
+    # reference cipher runs once per pool block, while the window path
+    # computes every block, repeats included.  Both ECB directions and
+    # CBC decryption's D(C) take it from 16 blocks on.
+    key = key[:key_bytes]
+    ks = key_expansion(key, n_r)
+    plan = make_plan("optf", n_r)
+    order = random.Random(seed).choices(pool, k=blocks)
+    data = b"".join(order)
+    enc = {b: aes_encrypt_oracle(b, key, n_r) for b in pool}
+    dec = {b: aes_decrypt_oracle(b, key, n_r) for b in pool}
+    assert ecb_encrypt(data, ks, plan) == b"".join(enc[b] for b in order)
+    assert ecb_decrypt(data, ks, plan) == b"".join(dec[b] for b in order)
+    chain = [iv] + order[:-1]
+    assert cbc_decrypt(data, ks, iv, plan) == b"".join(
+        bytes(a ^ c for a, c in zip(dec[b], prev)) for b, prev in zip(order, chain))
+
+
+def test_window_path_runs_from_16_blocks_once_per_window(ks, monkeypatch):
+    # Each call is recorded as (name, blocks it computes).  Random blocks
+    # do not repeat, so the memo loop calls its block function once per
+    # block.
+    assert (modes.WINDOW_MIN_BLOCKS, modes.WINDOW_BLOCKS) == (16, 256)
+    calls = []
+    for name in ("encrypt_block_variant", "decrypt_block_variant", "fused_window"):
+        fn = getattr(modes, name)
+
+        def recording(x, *args, fn=fn, name=name):
+            calls.append((name, len(x) // 16))
+            return fn(x, *args)
+
+        monkeypatch.setattr(modes, name, recording)
+    optf = make_plan("optf", ks.n_r)
+    iv = bytes(range(16))
+    rng = random.Random(29)
+    for blocks, windows in ((1, ()), (15, ()), (16, (16,)), (17, (17,)), (256, (256,)),
+                            (257, (256, 1)), (600, (256, 256, 88))):
+        data = rng.randbytes(16 * blocks)
+        for run, args, block_fn in ((ecb_encrypt, (optf,), "encrypt_block_variant"),
+                                    (ecb_decrypt, (optf,), "decrypt_block_variant"),
+                                    (cbc_decrypt, (iv, optf), "decrypt_block_variant")):
+            calls.clear()
+            run(data, ks, *args)
+            if blocks < 16:
+                assert calls == [(block_fn, 1)] * blocks, (run.__name__, blocks)
+            else:
+                assert calls == [("fused_window", n) for n in windows], (run.__name__, blocks)
+    # A plan with a Base round, and CBC encryption, stay per block.
+    data = rng.randbytes(16 * 300)
+    for run, args, block_fn in ((ecb_encrypt, (PER_BLOCK,), "encrypt_block_variant"),
+                                (ecb_decrypt, (PER_BLOCK,), "decrypt_block_variant"),
+                                (cbc_decrypt, (iv, PER_BLOCK), "decrypt_block_variant"),
+                                (cbc_encrypt, (iv, optf), "encrypt_block_variant")):
+        calls.clear()
+        run(data, ks, *args)
+        assert calls == [(block_fn, 1)] * 300, run.__name__
 
 
 # ---------------------------------------------------------------------------

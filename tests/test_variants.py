@@ -16,7 +16,7 @@ from aeslab.core import (
     store_state,
     sub_bytes,
 )
-from aeslab.gf256 import INV_S_BOX, S_BOX
+from aeslab.gf256 import INV_S_BOX, S_BOX, T_DEC_LANES, T_ENC_LANES
 from aeslab.modes import decrypt_blob, encrypt_blob, pkcs7_pad
 from aeslab.variants import (
     T_DEC,
@@ -66,6 +66,14 @@ def test_t_table_entries_match_oracle():
         for t in range(4):
             # table t is table 0 rotated right by t bytes
             assert list(T_ENC[t][x].to_bytes(4, "big")) == col[-t:] + col[:-t]
+
+
+def test_t_table_lanes_are_the_bytes_of_table_0():
+    # The window form of the fused round translates by these lanes.
+    for lanes, tables in ((T_ENC_LANES, T_ENC), (T_DEC_LANES, T_DEC)):
+        assert [len(lane) for lane in lanes] == [256] * 4
+        for x in range(256):
+            assert bytes(lane[x] for lane in lanes) == tables[0][x].to_bytes(4, "big")
 
 
 def test_shift_rows_as_strided_slices():
