@@ -33,9 +33,11 @@ decryption's whole-message XOR on ints), where a list of blocks joined
 at the end peaks near 10x.  Slice stores into a preallocated buffer
 would use less memory but about twice the per-block loop overhead of
 an append.  The window path stores each window into a buffer of the
-input's length, so it holds that buffer and its bytes copy, plus the
-round keys repeated over one window (4 KiB per round key) and a few
-window-sized temporaries: about 2.3x a 64 KiB input for AES-128.
+input's length, so while it runs it holds that buffer, the round keys
+repeated over one window (4 KiB per round key) and a few window-sized
+temporaries, and at the end that buffer and its bytes copy: a
+tracemalloc peak of 2.24x a 64 KiB input for AES-128, either ECB
+direction.
 
 The raw-file layout runs those loops on pieces of at most CHUNK bytes.
 encrypt_pieces/decrypt_pieces yield it piece by piece, CBC carrying the
@@ -67,11 +69,12 @@ MEMO_BLOCKS = 256
 
 # An all-fused plan over at least WINDOW_MIN_BLOCKS blocks runs
 # fused_window on windows of at most WINDOW_BLOCKS blocks.  Measured
-# against the block loop, the window form is slower at 8 blocks and
-# faster from 16; a 256-block window costs 10-20% more per block than a
-# 1024-block one, for well under half the transient memory (about 2.3x
-# against 6x a 64 KiB input).
-WINDOW_MIN_BLOCKS = 16
+# against the block loop, the window form is about as fast at 6 blocks,
+# 1.09-1.36x at 7 and at least 1.25x from 8 in both directions, where it
+# starts.  A 256-block window costs at most 10% more per block than a
+# 1024-block one, for well under half the transient memory (2.24x
+# against 5.85x a 64 KiB input).
+WINDOW_MIN_BLOCKS = 8
 WINDOW_BLOCKS = 256
 
 

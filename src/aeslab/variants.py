@@ -40,15 +40,18 @@ transform microbenchmarks.
 
 OptF also has a window form, fused_window, which the modes run on
 every block of a window at once.  It is the same fused round with the
-same tables and key words, taken byte lane by byte lane: byte i of an
-output column word is the XOR over k of lane (i - k) mod 4 of T-table
-0 at byte k of the shifted column, so a round is (Inv)ShiftRows as 16
-extended-slice copies over the window, one translate by each of
-gf256's four T-table lanes, lanes 1-3 rotated within each 32-bit word
-(T-table k is table 0 rotated by k bytes), and the XORs, with the
-round key repeated once per block, on the window as one int.
-Decryption runs the equivalent inverse cipher on dec_words, as
-decrypt_block_variant's fused stages do.
+same tables and key words, taken byte lane by byte lane on the window
+transposed into row-major byte planes, plane 4i + c holding row i of
+column c of every block: byte i of an output column word is the XOR
+over k of lane (i - k) mod 4 of T-table 0 at byte k of the shifted
+column, so lane l of row k belongs in row k + l.  A round is
+(Inv)ShiftRows as one join of contiguous plane slices, a translate by
+each of gf256's T-table lanes (two for encryption, whose lanes 1 and
+2 are the S-box and lane 3 is lane 0 XOR the S-box), the lanes moved
+between rows by whole-row rotations of the window as one int, and the
+round key, repeated once per block in plane order.  Decryption runs
+the equivalent inverse cipher on dec_words, as decrypt_block_variant's
+fused stages do.
 """
 
 import struct
@@ -278,49 +281,78 @@ def decrypt_block_variant(block: bytes, ks: KeySchedule, plan: VariantPlan) -> b
 
 def window_keys(ks: KeySchedule, blocks: int, inverse: bool) -> tuple:
     """The round keys of an all-fused plan in the order fused_window adds
-    them, each repeated once per block of a window of the given number
-    of blocks, as ints: enc_words first to last, or for decryption the
+    them, as ints in its plane layout for a window of the given number
+    of blocks: plane q = 4i + c is byte i of key word c repeated once
+    per block.  enc_words first to last, or for decryption the
     equivalent inverse cipher's dec_words last to first."""
     words = dec_words(ks)[::-1] if inverse else ks.enc_words
-    return tuple(int.from_bytes(_BLOCK_WORDS.pack(*k) * blocks, "big") for k in words)
+    # Plane q of the index holds 4c + i, so a translate through a key's
+    # 16 packed bytes (padded to a table) spreads them over the planes.
+    index = b"".join([bytes((4 * c + i,)) * blocks for i in range(4) for c in range(4)])
+    pad = bytes(240)
+    return tuple(int.from_bytes(index.translate(_BLOCK_WORDS.pack(*k) + pad), "big")
+                 for k in words)
 
 
-def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytes:
+def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytearray:
     """Every block of x through an all-fused plan at once, bit-identical
     to encrypt_block_variant (decrypt_block_variant when inverse) on each
-    block; keys is window_keys for len(x) // 16 blocks.
+    block, as a bytearray; keys is window_keys for len(x) // 16 blocks.
 
-    The state is the whole window, one int between rounds.  A middle
-    round is the block kernels' fused round, byte lane by byte lane:
-    (Inv)ShiftRows as 16 extended-slice copies, one translate by each
-    of the four T-table lanes, lanes 1-3 rotated within each 32-bit
-    word by stride-4 slice copies, then XORs with the round key.  The
-    final round is (Inv)ShiftRows, a translate through the (inverse)
-    S-box and the last key."""
-    # Byte j of a block's (Inv)ShiftRows is its byte stride * j mod 16,
-    # as in the kernels' (x * 5)[::5] and (x * 13)[::13].  T-table k is
-    # table 0 rotated right by k bytes, so byte i of lane k's word goes
-    # to byte (i + k) mod 4.
-    if inverse:
-        lanes, box, stride = T_DEC_LANES, INV_S_BOX, 13
-    else:
-        lanes, box, stride = T_ENC_LANES, S_BOX, 5
-    shift = [(j, stride * j % 16) for j in range(16)]
+    The window is transposed once into row-major byte planes: plane
+    q = 4i + c holds row i of column c of every block, plane 0 most
+    significant, so over m blocks each row is 32m bits of one int.  A
+    middle round is the block kernels' fused round, byte lane by byte
+    lane: (Inv)ShiftRows as one join of contiguous plane slices, a
+    translate by each T-table lane (lane 0 and the S-box for
+    encryption), and the round key.  Lane l of row k belongs in row
+    k + l, so the lanes are summed by Horner's rule in the rotation
+    that moves every row down one and the last row to the top,
+    z >> row ^ (z & low) << up.  The final round is (Inv)ShiftRows, a
+    translate through the (inverse) S-box and the last key, and the
+    window is transposed back out."""
     n = len(x)
-    y = bytearray(n)
-    r = bytearray(n)
-    v = int.from_bytes(x, "big") ^ keys[0]
+    m = n // BLOCK_SIZE
+    row = 32 * m
+    low = (1 << row) - 1
+    up = 3 * row
+    # (Inv)ShiftRows turns row i of the state left (right) by i planes:
+    # output plane (i, c) is input plane (i, c + i) ((i, c - i)).
+    cuts = []
+    for i in range(4):
+        start, turn = 4 * i * m, (-i if inverse else i) % 4 * m
+        cuts += (slice(start + turn, start + 4 * m), slice(start, start + turn))
+    v = int.from_bytes(b"".join([x[4 * c + i::16] for i in range(4) for c in range(4)]),
+                       "big") ^ keys[0]
+    # The round state is dropped once turned into bytes, and the bytes
+    # once translated: beside the round keys, window-sized temporaries
+    # are what the window path adds to its output's memory.
+    lanes, box = (T_DEC_LANES, INV_S_BOX) if inverse else (T_ENC_LANES, S_BOX)
     for key in keys[1:-1]:
-        x = v.to_bytes(n, "big")
-        for j, s in shift:
-            y[j::16] = x[s::16]
-        v = int.from_bytes(y.translate(lanes[0]), "big") ^ key
-        for k in 1, 2, 3:
-            b = y.translate(lanes[k])
-            for i in range(4):
-                r[(i + k) % 4::4] = b[i::4]
-            v ^= int.from_bytes(r, "big")
-    x = v.to_bytes(n, "big")
-    for j, s in shift:
-        y[j::16] = x[s::16]
-    return (int.from_bytes(y.translate(box), "big") ^ keys[-1]).to_bytes(n, "big")
+        y = v.to_bytes(n, "big")
+        del v
+        y = b"".join([y[s] for s in cuts])
+        a = int.from_bytes(y.translate(lanes[0]), "big")
+        if inverse:
+            z = int.from_bytes(y.translate(lanes[3]), "big")
+            for lane in lanes[2], lanes[1]:
+                z = (z >> row ^ (z & low) << up) ^ int.from_bytes(y.translate(lane), "big")
+        else:
+            # Lanes 1 and 2 are both s, and lane 3, {03}s, is lane 0
+            # ({02}s) XOR s, so two translates make all four lanes.
+            b = int.from_bytes(y.translate(box), "big")
+            del y
+            z = a ^ b
+            for _ in 1, 2:
+                z = (z >> row ^ (z & low) << up) ^ b
+        v = a ^ (z >> row ^ (z & low) << up) ^ key
+    y = v.to_bytes(n, "big")
+    del v
+    y = (int.from_bytes(b"".join([y[s] for s in cuts]).translate(box), "big")
+         ^ keys[-1]).to_bytes(n, "big")
+    out = bytearray(n)
+    for i in range(4):
+        for c in range(4):
+            q = (4 * i + c) * m
+            out[4 * c + i::16] = y[q:q + m]
+    return out

@@ -566,11 +566,11 @@ def test_multi_piece_decrypt_computes_each_block_once(ks, count_calls, mode):
     key=st.binary(min_size=32, max_size=32),
     iv=st.binary(min_size=16, max_size=16),
     pool=st.lists(st.binary(min_size=16, max_size=16), min_size=2, max_size=6, unique=True),
-    blocks=st.one_of(st.sampled_from((15, 16, 17, 255, 256, 257)), st.integers(0, 600)),
+    blocks=st.one_of(st.sampled_from((7, 8, 9, 255, 256, 257)), st.integers(0, 600)),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(key_bytes=16, n_r=10, key=bytes(32), iv=bytes(16), pool=[bytes(16), bytes(range(16))],
-         blocks=16, seed=0)
+         blocks=8, seed=0)
 @example(key_bytes=24, n_r=1, key=bytes(range(32)), iv=bytes(range(16)),
          pool=[bytes(16), bytes([1] * 16)], blocks=257, seed=1)
 @example(key_bytes=32, n_r=14, key=bytes(range(32)), iv=bytes(16),
@@ -579,7 +579,7 @@ def test_window_path_matches_oracle_property(key_bytes, n_r, key, iv, pool, bloc
     # The blocks are drawn from a pool of 2-6 in random order, so the
     # reference cipher runs once per pool block, while the window path
     # computes every block, repeats included.  Both ECB directions and
-    # CBC decryption's D(C) take it from 16 blocks on.
+    # CBC decryption's D(C) take it from 8 blocks on.
     key = key[:key_bytes]
     ks = key_expansion(key, n_r)
     plan = make_plan("optf", n_r)
@@ -594,11 +594,11 @@ def test_window_path_matches_oracle_property(key_bytes, n_r, key, iv, pool, bloc
         bytes(a ^ c for a, c in zip(dec[b], prev)) for b, prev in zip(order, chain))
 
 
-def test_window_path_runs_from_16_blocks_once_per_window(ks, monkeypatch):
+def test_window_path_runs_from_window_min_blocks_once_per_window(ks, monkeypatch):
     # Each call is recorded as (name, blocks it computes).  Random blocks
     # do not repeat, so the memo loop calls its block function once per
     # block.
-    assert (modes.WINDOW_MIN_BLOCKS, modes.WINDOW_BLOCKS) == (16, 256)
+    assert (modes.WINDOW_MIN_BLOCKS, modes.WINDOW_BLOCKS) == (8, 256)
     calls = []
     for name in ("encrypt_block_variant", "decrypt_block_variant", "fused_window"):
         fn = getattr(modes, name)
@@ -611,7 +611,7 @@ def test_window_path_runs_from_16_blocks_once_per_window(ks, monkeypatch):
     optf = make_plan("optf", ks.n_r)
     iv = bytes(range(16))
     rng = random.Random(29)
-    for blocks, windows in ((1, ()), (15, ()), (16, (16,)), (17, (17,)), (256, (256,)),
+    for blocks, windows in ((1, ()), (7, ()), (8, (8,)), (9, (9,)), (256, (256,)),
                             (257, (256, 1)), (600, (256, 256, 88))):
         data = rng.randbytes(16 * blocks)
         for run, args, block_fn in ((ecb_encrypt, (optf,), "encrypt_block_variant"),
@@ -619,7 +619,7 @@ def test_window_path_runs_from_16_blocks_once_per_window(ks, monkeypatch):
                                     (cbc_decrypt, (iv, optf), "decrypt_block_variant")):
             calls.clear()
             run(data, ks, *args)
-            if blocks < 16:
+            if blocks < 8:
                 assert calls == [(block_fn, 1)] * blocks, (run.__name__, blocks)
             else:
                 assert calls == [("fused_window", n) for n in windows], (run.__name__, blocks)

@@ -26,11 +26,13 @@ from aeslab.variants import (
     build_t_tables,
     decrypt_block_variant,
     encrypt_block_variant,
+    fused_window,
     make_plan,
     table_mix_columns,
     unrolled_add_round_key,
     unrolled_shift_rows,
     unrolled_sub_bytes,
+    window_keys,
 )
 
 from reference import SBOX_REF, aes_decrypt_oracle, aes_encrypt_oracle, poly_mul_mod
@@ -74,6 +76,30 @@ def test_t_table_lanes_are_the_bytes_of_table_0():
         assert [len(lane) for lane in lanes] == [256] * 4
         for x in range(256):
             assert bytes(lane[x] for lane in lanes) == tables[0][x].to_bytes(4, "big")
+
+
+def test_enc_lanes_share_the_s_box():
+    # The window form's encryption round translates by lane 0 and the
+    # S-box only: lanes 1 and 2 are s itself and lane 3, {03}s, is
+    # lane 0, {02}s, XOR s.
+    assert T_ENC_LANES[1] == T_ENC_LANES[2] == S_BOX
+    assert bytes(a ^ s for a, s in zip(T_ENC_LANES[0], S_BOX)) == T_ENC_LANES[3]
+
+
+def test_fused_window_matches_block_kernels():
+    # Each window is a prefix of the same 256 random blocks, whose
+    # per-block outputs are computed once per schedule and direction.
+    rng = random.Random(30)
+    data = rng.randbytes(16 * 256)
+    for key_bytes in 16, 24, 32:
+        for n_r in range(1, 15):
+            ks = key_expansion(rng.randbytes(key_bytes), n_r)
+            plan = make_plan("optf", n_r)
+            for inverse, kernel in (False, encrypt_block_variant), (True, decrypt_block_variant):
+                want = b"".join(kernel(data[i:i + 16], ks, plan) for i in range(0, len(data), 16))
+                for m in (*range(1, 41), 255, 256):
+                    got = fused_window(data[:16 * m], window_keys(ks, m, inverse), inverse)
+                    assert got == want[:16 * m], (key_bytes, n_r, inverse, m)
 
 
 def test_shift_rows_as_strided_slices():
