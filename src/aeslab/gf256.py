@@ -8,9 +8,9 @@ this module is the one that builds them.  All are plain immutable
 values: the S-boxes are the bytes S_BOX and INV_S_BOX; the product
 table MUL_TABLE is a tuple of six bytes rows, one per coefficient in
 MUL_TABLE_COEFFICIENTS order; the T-tables are the tuples T_ENC and
-T_DEC, four tuples of 256 big-endian words per direction, and their
-byte lanes are T_ENC_LANES and T_DEC_LANES, four 256-byte translate
-tables per direction that the window form of the fused round reads.
+T_DEC, four tuples of 256 big-endian words per direction.  The window
+form of the fused round reads no T-table: it translates by an S-box
+and takes every other multiple by xtime on the whole window.
 
 Generation runs on exponent and logarithm tables over the generator
 {03}, filled in 255 xtime steps (x * {03} = x ^ xtime(x)) once per
@@ -138,10 +138,10 @@ def _rotations(lanes: tuple) -> tuple:
 
 def build_t_lanes() -> tuple:
     """(enc, dec): the byte lanes of the fused round tables, four
-    256-byte translate tables per direction.  Lane i of a direction is
-    byte i of its table 0: column 0 of (Inv)MixColumns applied to the
-    (inverse) S-box output, {02}s, s, s, {03}s and {0E}t, {09}t, {0D}t,
-    {0B}t."""
+    256-byte rows per direction, which build_t_tables rotates into
+    words.  Lane i of a direction is byte i of its table 0: column 0 of
+    (Inv)MixColumns applied to the (inverse) S-box output, {02}s, s, s,
+    {03}s and {0E}t, {09}t, {0D}t, {0B}t."""
     m2, m3, m9, mb, md, me = MUL_TABLE
     enc = (S_BOX.translate(m2), S_BOX, S_BOX, S_BOX.translate(m3))
     dec = tuple(INV_S_BOX.translate(m) for m in (me, m9, md, mb))
@@ -164,5 +164,4 @@ def build_t_tables() -> tuple:
 # Shared singletons; read-only, safe for concurrent reads.
 S_BOX, INV_S_BOX = build_sbox()
 MUL_TABLE = build_mul_table()
-T_ENC_LANES, T_DEC_LANES = build_t_lanes()
 T_ENC, T_DEC = build_t_tables()

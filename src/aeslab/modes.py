@@ -36,8 +36,8 @@ an append.  The window path stores each window into a buffer of the
 input's length, so while it runs it holds that buffer, the round keys
 repeated over one window (4 KiB per round key) and a few window-sized
 temporaries, and at the end that buffer and its bytes copy: a
-tracemalloc peak of 2.24x a 64 KiB input for AES-128, either ECB
-direction.
+tracemalloc peak of 2.29x a 64 KiB input for AES-128 ECB encryption
+and 2.37x for ECB decryption.
 
 The raw-file layout runs those loops on pieces of at most CHUNK bytes.
 encrypt_pieces/decrypt_pieces yield it piece by piece, CBC carrying the
@@ -71,9 +71,9 @@ MEMO_BLOCKS = 256
 # fused_window on windows of at most WINDOW_BLOCKS blocks.  Measured
 # against the block loop, the window form is about as fast at 6 blocks,
 # 1.09-1.36x at 7 and at least 1.25x from 8 in both directions, where it
-# starts.  A 256-block window costs at most 10% more per block than a
-# 1024-block one, for well under half the transient memory (2.24x
-# against 5.85x a 64 KiB input).
+# starts.  A 256-block window costs 7-18% more per block than a
+# 1024-block one, for well under half the transient memory (2.29-2.37x
+# against 6.07-6.40x a 64 KiB input).
 WINDOW_MIN_BLOCKS = 8
 WINDOW_BLOCKS = 256
 

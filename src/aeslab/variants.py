@@ -44,14 +44,16 @@ same tables and key words, taken byte lane by byte lane on the window
 transposed into row-major byte planes, plane 4i + c holding row i of
 column c of every block: byte i of an output column word is the XOR
 over k of lane (i - k) mod 4 of T-table 0 at byte k of the shifted
-column, so lane l of row k belongs in row k + l.  A round is
-(Inv)ShiftRows as one join of contiguous plane slices, a translate by
-each of gf256's T-table lanes (two for encryption, whose lanes 1 and
-2 are the S-box and lane 3 is lane 0 XOR the S-box), the lanes moved
-between rows by whole-row rotations of the window as one int, and the
-round key, repeated once per block in plane order.  Decryption runs
-the equivalent inverse cipher on dec_words, as decrypt_block_variant's
-fused stages do.
+column, so lane l of row k belongs in row k + l.  The lanes are the
+(Inv)MixColumns coefficients times the (inverse) S-box output, so the
+window reads no T-table.  A round is (Inv)ShiftRows as one join of
+contiguous plane slices, one translate through the (inverse) S-box,
+the {02}, {04} and {08} multiples by xtime on every byte of the window
+at once (xtime_window: one for encryption, three for decryption), the
+multiples moved between rows by whole-row rotations of the window as
+one int, and the round key, repeated once per block in plane order.
+Decryption runs the equivalent inverse cipher on dec_words, as
+decrypt_block_variant's fused stages do.
 """
 
 import struct
@@ -68,16 +70,7 @@ from .core import (
     round_keys,
     store_state,
 )
-from .gf256 import (
-    INV_S_BOX,
-    MUL_TABLE,
-    S_BOX,
-    T_DEC,
-    T_DEC_LANES,
-    T_ENC,
-    T_ENC_LANES,
-    ReadOnly,
-)
+from .gf256 import INV_S_BOX, MUL_TABLE, S_BOX, T_DEC, T_ENC, ReadOnly
 # Read here by the package's public names and by perfbench's table timings.
 from .gf256 import build_t_tables  # noqa: F401
 
@@ -294,6 +287,17 @@ def window_keys(ks: KeySchedule, blocks: int, inverse: bool) -> tuple:
                  for k in words)
 
 
+def xtime_window(z: int, m80: int) -> int:
+    """xtime on every byte of z at once, m80 holding 0x80 in each of
+    them: each byte shifts left within itself, and a byte whose high
+    bit fell out takes {1B}."""
+    h = z & m80
+    z = (z ^ h) << 1
+    h >>= 7
+    h *= 0x1B
+    return z ^ h
+
+
 def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytearray:
     """Every block of x through an all-fused plan at once, bit-identical
     to encrypt_block_variant (decrypt_block_variant when inverse) on each
@@ -303,14 +307,17 @@ def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytearray:
     q = 4i + c holds row i of column c of every block, plane 0 most
     significant, so over m blocks each row is 32m bits of one int.  A
     middle round is the block kernels' fused round, byte lane by byte
-    lane: (Inv)ShiftRows as one join of contiguous plane slices, a
-    translate by each T-table lane (lane 0 and the S-box for
-    encryption), and the round key.  Lane l of row k belongs in row
-    k + l, so the lanes are summed by Horner's rule in the rotation
-    that moves every row down one and the last row to the top,
-    z >> row ^ (z & low) << up.  The final round is (Inv)ShiftRows, a
-    translate through the (inverse) S-box and the last key, and the
-    window is transposed back out."""
+    lane: (Inv)ShiftRows as one join of contiguous plane slices, one
+    translate through the (inverse) S-box to u, the lanes' multiples of
+    u by xtime_window, and the round key.  Lane l of row k belongs in
+    row k + l, and R, the rotation that moves every row down one and
+    the last row to the top, is z >> row ^ (z & low) << up.  Encryption
+    sums its lanes {02}u, u, u, {03}u by Horner's rule in R.
+    Decryption's lanes {0E}u, {09}u, {0D}u, {0B}u are grouped by
+    powers of xtime, with p = u ^ R^2 u and f = p ^ R p:
+    xt(xt(xt(f) ^ p) ^ u ^ R^3 u) ^ f ^ u.  The final round is
+    (Inv)ShiftRows, a translate through the (inverse) S-box and the last
+    key, and the window is transposed back out."""
     n = len(x)
     m = n // BLOCK_SIZE
     row = 32 * m
@@ -324,28 +331,43 @@ def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytearray:
         cuts += (slice(start + turn, start + 4 * m), slice(start, start + turn))
     v = int.from_bytes(b"".join([x[4 * c + i::16] for i in range(4) for c in range(4)]),
                        "big") ^ keys[0]
-    # The round state is dropped once turned into bytes, and the bytes
-    # once translated: beside the round keys, window-sized temporaries
-    # are what the window path adds to its output's memory.
-    lanes, box = (T_DEC_LANES, INV_S_BOX) if inverse else (T_ENC_LANES, S_BOX)
+    # The round state is dropped once turned into bytes, the bytes once
+    # translated, and each multiple after its last use: beside the round
+    # keys, window-sized temporaries are what the window path adds to
+    # its output's memory.
+    box = INV_S_BOX if inverse else S_BOX
+    m80 = int.from_bytes(b"\x80" * n, "big")
     for key in keys[1:-1]:
         y = v.to_bytes(n, "big")
         del v
-        y = b"".join([y[s] for s in cuts])
-        a = int.from_bytes(y.translate(lanes[0]), "big")
+        u = int.from_bytes(b"".join([y[s] for s in cuts]).translate(box), "big")
+        del y
         if inverse:
-            z = int.from_bytes(y.translate(lanes[3]), "big")
-            for lane in lanes[2], lanes[1]:
-                z = (z >> row ^ (z & low) << up) ^ int.from_bytes(y.translate(lane), "big")
+            # {0E}, {09}, {0D}, {0B} in rows k, k + 1, k + 2, k + 3 by
+            # their bits: {08} is set in all four (f), {04} in the first
+            # and third (p), {02} in the first and fourth (r), {01} in
+            # the last three (f ^ u).
+            r = u >> row ^ (u & low) << up
+            r = r >> row ^ (r & low) << up
+            p = u ^ r
+            r = u ^ (r >> row ^ (r & low) << up)
+            f = p ^ (p >> row ^ (p & low) << up)
+            p ^= xtime_window(f, m80)
+            f ^= u
+            del u
+            r ^= xtime_window(p, m80)
+            del p
+            v = xtime_window(r, m80) ^ f ^ key
+            del r, f
         else:
-            # Lanes 1 and 2 are both s, and lane 3, {03}s, is lane 0
-            # ({02}s) XOR s, so two translates make all four lanes.
-            b = int.from_bytes(y.translate(box), "big")
-            del y
-            z = a ^ b
+            # Lanes 1 and 2 are u itself and lane 3, {03}u, is lane 0
+            # ({02}u) XOR u.
+            a = xtime_window(u, m80)
+            z = a ^ u
             for _ in 1, 2:
-                z = (z >> row ^ (z & low) << up) ^ b
-        v = a ^ (z >> row ^ (z & low) << up) ^ key
+                z = (z >> row ^ (z & low) << up) ^ u
+            v = a ^ (z >> row ^ (z & low) << up) ^ key
+            del a, z, u
     y = v.to_bytes(n, "big")
     del v
     y = (int.from_bytes(b"".join([y[s] for s in cuts]).translate(box), "big")

@@ -16,7 +16,7 @@ from aeslab.core import (
     store_state,
     sub_bytes,
 )
-from aeslab.gf256 import INV_S_BOX, S_BOX, T_DEC_LANES, T_ENC_LANES
+from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX, build_t_lanes, xtime
 from aeslab.modes import decrypt_blob, encrypt_blob, pkcs7_pad
 from aeslab.variants import (
     T_DEC,
@@ -33,6 +33,7 @@ from aeslab.variants import (
     unrolled_shift_rows,
     unrolled_sub_bytes,
     window_keys,
+    xtime_window,
 )
 
 from reference import SBOX_REF, aes_decrypt_oracle, aes_encrypt_oracle, poly_mul_mod
@@ -71,19 +72,59 @@ def test_t_table_entries_match_oracle():
 
 
 def test_t_table_lanes_are_the_bytes_of_table_0():
-    # The window form of the fused round translates by these lanes.
-    for lanes, tables in ((T_ENC_LANES, T_ENC), (T_DEC_LANES, T_DEC)):
+    # build_t_tables rotates these lanes into its words.
+    for lanes, tables in zip(build_t_lanes(), (T_ENC, T_DEC)):
         assert [len(lane) for lane in lanes] == [256] * 4
         for x in range(256):
             assert bytes(lane[x] for lane in lanes) == tables[0][x].to_bytes(4, "big")
 
 
 def test_enc_lanes_share_the_s_box():
-    # The window form's encryption round translates by lane 0 and the
-    # S-box only: lanes 1 and 2 are s itself and lane 3, {03}s, is
-    # lane 0, {02}s, XOR s.
-    assert T_ENC_LANES[1] == T_ENC_LANES[2] == S_BOX
-    assert bytes(a ^ s for a, s in zip(T_ENC_LANES[0], S_BOX)) == T_ENC_LANES[3]
+    # The window form's encryption round translates by the S-box only:
+    # lanes 1 and 2 are s itself, lane 0, {02}s, is xtime of s, and
+    # lane 3, {03}s, is lane 0 XOR s.
+    enc, _ = build_t_lanes()
+    assert enc[1] == enc[2] == S_BOX
+    assert enc[0] == bytes(map(xtime, S_BOX))
+    assert bytes(a ^ s for a, s in zip(enc[0], S_BOX)) == enc[3]
+
+
+def test_xtime_window_is_xtime_on_every_byte():
+    # Every byte value at the window int's most significant byte, a
+    # middle byte and its least significant byte, among random
+    # neighbours: no carry crosses from one byte into the next.
+    rng = random.Random(31)
+    n = 16 * 8
+    m80 = int.from_bytes(b"\x80" * n, "big")
+    for pos in 0, n // 2, n - 1:
+        for a in range(256):
+            window = bytearray(rng.randbytes(n))
+            window[pos] = a
+            got = xtime_window(int.from_bytes(window, "big"), m80).to_bytes(n, "big")
+            assert got == bytes(map(xtime, window)), (pos, a)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fused_window_round_is_one_mix_column(inverse):
+    # Two rounds under zero keys over 256 blocks.  Block j substitutes
+    # to j in byte 0 and to 0 in every other byte, so its middle round
+    # is (Inv)MixColumns of the column (j, 0, 0, 0): row i of column 0
+    # takes coefficient i of the matrix times j, here read through the
+    # MUL_TABLE rows.  The final round carries row i to column -i (+i
+    # to decrypt) and substitutes it, which the test undoes.
+    m2, m3, m9, mb, md, me = MUL_TABLE
+    one = bytes(range(256))
+    if inverse:
+        unbox, rows, turn = S_BOX, (me, m9, md, mb), 1
+    else:
+        unbox, rows, turn = INV_S_BOX, (m2, one, one, m3), -1
+    x = b"".join(bytes([unbox[j]] + [unbox[0]] * 15) for j in range(256))
+    out = fused_window(x, (0, 0, 0), inverse).translate(unbox)
+    for j in range(256):
+        want = bytearray(16)
+        for i, row in enumerate(rows):
+            want[4 * (turn * i % 4) + i] = row[j]
+        assert out[16 * j:16 * j + 16] == want, j
 
 
 def test_fused_window_matches_block_kernels():
