@@ -136,28 +136,18 @@ def _rotations(lanes: tuple) -> tuple:
     return tuple(tables)
 
 
-def build_t_lanes() -> tuple:
-    """(enc, dec): the byte lanes of the fused round tables, four
-    256-byte rows per direction, which build_t_tables rotates into
-    words.  Lane i of a direction is byte i of its table 0: column 0 of
-    (Inv)MixColumns applied to the (inverse) S-box output, {02}s, s, s,
-    {03}s and {0E}t, {09}t, {0D}t, {0B}t."""
-    m2, m3, m9, mb, md, me = MUL_TABLE
-    enc = (S_BOX.translate(m2), S_BOX, S_BOX, S_BOX.translate(m3))
-    dec = tuple(INV_S_BOX.translate(m) for m in (me, m9, md, mb))
-    return enc, dec
-
-
 def build_t_tables() -> tuple:
     """(enc, dec): the fused round tables derived from the S-boxes and
     the MUL_TABLE rows, four tables of 256 4-byte entries per direction.
 
-    Each entry is a big-endian word; byte 0 of an entry is the row-0
-    contribution of that table's column of the (Inv)MixColumns matrix
-    applied to the (inverse) S-box output.  The bytes of the entries
-    are the lanes of build_t_lanes, rotated by one byte per table.
+    Each entry is a big-endian word.  Byte i of table 0's entries is row
+    i of column 0 of (Inv)MixColumns applied to the (inverse) S-box
+    output: {02}s, s, s, {03}s and {0E}t, {09}t, {0D}t, {0B}t.  Table k
+    is table 0 rotated right by k bytes.
     """
-    enc, dec = build_t_lanes()
+    m2, m3, m9, mb, md, me = MUL_TABLE
+    enc = (S_BOX.translate(m2), S_BOX, S_BOX, S_BOX.translate(m3))
+    dec = tuple(INV_S_BOX.translate(m) for m in (me, m9, md, mb))
     return _rotations(enc), _rotations(dec)
 
 

@@ -293,13 +293,20 @@ def test_piece_boundaries_are_invisible(ks, mode):
         assert decrypt_blob(blob, ks, mode, plan) == data  # embedded IV, if any
         plain = list(decrypt_pieces(blob, ks, mode, plan))
         assert b"".join(plain) == data and max(map(len, plain)) <= CHUNK
+        # One plaintext piece per ciphertext piece, each chained from the
+        # piece before it (the IV prefix for the first), the last unpadded.
+        body = pieces[1:] if iv else pieces
+        expected = [ecb_decrypt(c, ks, plan) if iv is None else cbc_decrypt(c, ks, prev[-16:], plan)
+                    for c, prev in zip(body, pieces)]
+        expected[-1] = pkcs7_unpad(expected[-1])
+        assert plain == expected, n
         if mode == "cbc":  # the IV held apart from the stripped ciphertext
             assert pkcs7_unpad(cbc_decrypt(blob[16:], ks, iv, plan)) == data
 
 
 @pytest.mark.parametrize("mode", ["ecb", "cbc"])
 def test_piece_errors_raise_before_the_first_piece(ks, mode):
-    # A long body's last block is decrypted and unpadded first, so no
+    # A long body's last piece is decrypted and unpadded first, so no
     # piece is produced for a ciphertext that fails its padding check.
     plan = make_plan("optf", ks.n_r)
     iv = bytes(range(16)) if mode == "cbc" else None
@@ -307,7 +314,8 @@ def test_piece_errors_raise_before_the_first_piece(ks, mode):
     blob[-1] ^= 1
     with pytest.raises(PaddingError):
         next(decrypt_pieces(bytes(blob), ks, mode, plan))
-    with pytest.raises(ValueError, match="not a multiple of 16"):
+    body = len(blob) - 1 - (16 if iv else 0)  # the misaligned ciphertext, not its last piece
+    with pytest.raises(ValueError, match=f"data length {body} is not a multiple of 16"):
         next(decrypt_pieces(bytes(blob[:-1]), ks, mode, plan))
     with pytest.raises(ValueError):
         next(encrypt_pieces(b"x", ks, mode, plan, None if iv else bytes(16)))
@@ -693,6 +701,27 @@ def test_mode_loops_peak_memory_and_return_bytes(ks):
             assert type(blob) is bytes and type(out) is bytes
             assert type(decrypt_blob(blob, ks, mode, plan)) is bytes
             assert type(decrypt_with_residual(out, ks, mode, plan, mode_iv)) is bytes
+
+
+@pytest.mark.parametrize("key_bytes", [24, 32])
+def test_window_path_peak_memory_at_every_key_size(key_bytes):
+    # The window path holds the round keys repeated over one window, 4 KiB
+    # per round key, so each round key beyond AES-128's eleven adds 4 KiB
+    # to the AES-128 bound of 2.5x.
+    ks = key_expansion(bytes(range(key_bytes)))
+    data = random.Random(49).randbytes(16 * 4096)
+    plan = make_plan("optf", ks.n_r)
+    bound = 2.5 * len(data) + 4096 * (ks.n_r + 1 - 11)
+    for fn in ecb_encrypt, ecb_decrypt:
+        fn(data[:16], ks, plan)  # derive the schedule's fields first
+        tracemalloc.start()
+        try:
+            out = fn(data, ks, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == len(data)
+        assert peak <= bound, (fn.__name__, peak / len(data))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from aeslab.core import (
     store_state,
     sub_bytes,
 )
-from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX, build_t_lanes, xtime
+from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX, gf_mul, xtime
 from aeslab.modes import decrypt_blob, encrypt_blob, pkcs7_pad
 from aeslab.variants import (
     T_DEC,
@@ -71,19 +71,25 @@ def test_t_table_entries_match_oracle():
             assert list(T_ENC[t][x].to_bytes(4, "big")) == col[-t:] + col[:-t]
 
 
+def _lanes(table) -> tuple:
+    """The byte lanes of a T-table: lane i is byte i of every entry."""
+    words = b"".join(w.to_bytes(4, "big") for w in table)
+    return tuple(words[i::4] for i in range(4))
+
+
 def test_t_table_lanes_are_the_bytes_of_table_0():
-    # build_t_tables rotates these lanes into its words.
-    for lanes, tables in zip(build_t_lanes(), (T_ENC, T_DEC)):
-        assert [len(lane) for lane in lanes] == [256] * 4
-        for x in range(256):
-            assert bytes(lane[x] for lane in lanes) == tables[0][x].to_bytes(4, "big")
+    # Byte i of table 0's entries is row i of (Inv)MixColumns' column 0
+    # times the (inverse) S-box output.
+    for table, box, column in ((T_ENC[0], S_BOX, (2, 1, 1, 3)),
+                               (T_DEC[0], INV_S_BOX, (0x0E, 0x09, 0x0D, 0x0B))):
+        assert _lanes(table) == tuple(bytes(gf_mul(c, s) for s in box) for c in column)
 
 
 def test_enc_lanes_share_the_s_box():
     # The window form's encryption round translates by the S-box only:
     # lanes 1 and 2 are s itself, lane 0, {02}s, is xtime of s, and
     # lane 3, {03}s, is lane 0 XOR s.
-    enc, _ = build_t_lanes()
+    enc = _lanes(T_ENC[0])
     assert enc[1] == enc[2] == S_BOX
     assert enc[0] == bytes(map(xtime, S_BOX))
     assert bytes(a ^ s for a, s in zip(enc[0], S_BOX)) == enc[3]
