@@ -35,10 +35,11 @@ would use less memory but about twice the per-block loop overhead of
 an append.  The window path stores each window into a buffer of the
 input's length, so while it runs it holds that buffer, the round keys
 repeated over one window (4 KiB per round key) and a few window-sized
-temporaries, and at the end that buffer and its bytes copy.  Its
-tracemalloc peaks over a 64 KiB input are 2.29x to encrypt and 2.37x
-to decrypt in ECB for AES-128, 2.43x and 2.51x for AES-192 and 2.56x
-and 2.65x for AES-256.
+temporaries, and at the end that buffer and its bytes copy.  A direct
+call builds those keys once, for its own windows.  Its tracemalloc
+peaks over a 64 KiB input are 2.29x to encrypt and 2.37x to decrypt in
+ECB for AES-128, 2.43x and 2.51x for AES-192 and 2.56x and 2.65x for
+AES-256.
 
 The raw-file layout runs those loops on pieces of at most CHUNK bytes,
 starting at multiples of CHUNK from the start of the ciphertext.
@@ -46,8 +47,12 @@ encrypt_pieces/decrypt_pieces yield it piece by piece on that one grid,
 a CBC piece chaining from the ciphertext block before it.  Decryption
 decrypts and unpads the last piece, which holds the padding, first and
 yields it last, so a caller that writes each piece as it comes holds
-its input plus a piece (two to decrypt): `aeslab encrypt/decrypt` peaks
-near 1.1x a 1 MiB file.  encrypt_blob and decrypt_blob join the pieces.
+its input plus a piece (two to decrypt).  One raw-file operation builds
+the window keys of each window length once and holds them for its
+duration: 44 KiB for AES-128, plus the keys of a short tail window.
+`aeslab encrypt/decrypt` of a 1 MiB file peaks at 1.10-1.20x the file
+under tracemalloc (identity block kernels, AES-128).  encrypt_blob and
+decrypt_blob join the pieces.
 """
 
 import os
@@ -141,40 +146,59 @@ def _each_block(fn, data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytearra
     return out
 
 
-def _each_window(data: bytes, ks: KeySchedule, inverse: bool) -> bytearray:
+# The window keys pass from the raw layout down to _each_window as keys,
+# a dict or None: by position, since a tracer's wrapper may forward
+# positional arguments only, and unannotated, since each `dict | None`
+# annotation builds a union object at import, and seven of them moved a
+# garbage collection into perfbench's timed set-up.
+
+
+def _each_window(data: bytes, ks: KeySchedule, inverse: bool, keys) -> bytearray:
     """fused_window over successive windows of WINDOW_BLOCKS blocks of
     data (the last may be shorter), stored into one buffer of the
-    data's length."""
+    data's length.
+
+    keys maps a window's block count to its window_keys in this
+    direction, and gains each length the first time a window of it
+    comes.  A raw-file operation passes one dict to every piece, so it
+    builds each length's keys once and holds them until it ends: 44 KiB
+    for AES-128's 256-block windows, plus the keys of a short tail
+    window.  None builds them for this call alone."""
+    if keys is None:
+        keys = {}
     out = bytearray(len(data))
     step = WINDOW_BLOCKS * BLOCK_SIZE
-    full = window_keys(ks, WINDOW_BLOCKS, inverse) if len(data) >= step else None
     for i in range(0, len(data), step):
         x = data[i:i + step]
-        keys = full if len(x) == step else window_keys(ks, len(x) // BLOCK_SIZE, inverse)
-        out[i:i + step] = fused_window(x, keys, inverse)
+        blocks = len(x) // BLOCK_SIZE
+        k = keys.get(blocks)
+        if k is None:
+            k = keys[blocks] = window_keys(ks, blocks, inverse)
+        out[i:i + step] = fused_window(x, k, inverse)
     return out
 
 
-def _all_blocks(data: bytes, ks: KeySchedule, plan: VariantPlan, inverse: bool) -> bytearray:
+def _all_blocks(data: bytes, ks: KeySchedule, plan: VariantPlan, inverse: bool, keys) -> bytearray:
     """The block cipher (its inverse when inverse) of every block of
-    data: the window path for an all-fused plan over at least
+    data: the window path, on keys, for an all-fused plan over at least
     WINDOW_MIN_BLOCKS blocks, the memo loop otherwise."""
     if len(data) >= WINDOW_MIN_BLOCKS * BLOCK_SIZE and all(plan.round_flags):
-        return _each_window(data, ks, inverse)
+        return _each_window(data, ks, inverse, keys)
     fn = decrypt_block_variant if inverse else encrypt_block_variant
     return _each_block(fn, data, ks, plan)
 
 
-def ecb_encrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
+def ecb_encrypt(data: bytes, ks: KeySchedule, plan: VariantPlan, keys=None) -> bytes:
     """Each block encrypted independently; equal plaintext blocks give
-    equal ciphertext blocks."""
+    equal ciphertext blocks.  keys: _each_window's, to share window
+    keys across calls."""
     _require_aligned(len(data))
-    return bytes(_all_blocks(data, ks, plan, False))
+    return bytes(_all_blocks(data, ks, plan, False, keys))
 
 
-def ecb_decrypt(data: bytes, ks: KeySchedule, plan: VariantPlan) -> bytes:
+def ecb_decrypt(data: bytes, ks: KeySchedule, plan: VariantPlan, keys=None) -> bytes:
     _require_aligned(len(data))
-    return bytes(_all_blocks(data, ks, plan, True))
+    return bytes(_all_blocks(data, ks, plan, True, keys))
 
 
 def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
@@ -190,12 +214,13 @@ def cbc_encrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> b
     return bytes(out)
 
 
-def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan) -> bytes:
-    """M_i = D_k(C_i) xor C_{i-1} with C_0 = IV, all blocks at once."""
+def cbc_decrypt(data: bytes, ks: KeySchedule, iv: bytes, plan: VariantPlan, keys=None) -> bytes:
+    """M_i = D_k(C_i) xor C_{i-1} with C_0 = IV, all blocks at once.
+    keys: as for ecb_encrypt."""
     _require_aligned(len(data))
     _require_iv(iv)
     n = len(data)
-    out = _all_blocks(data, ks, plan, True)
+    out = _all_blocks(data, ks, plan, True, keys)
     # IV || C[:-16] as one int: IV above C, shifted down one block.
     chain = (int.from_bytes(iv, "big") << 8 * n | int.from_bytes(data, "big")) >> 128
     return (int.from_bytes(out, "big") ^ chain).to_bytes(n, "big")
@@ -221,18 +246,19 @@ def _check_iv(mode: str, iv: bytes | None) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _encrypt(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None) -> bytes:
-    """ECB when iv is None, else CBC chained from iv."""
+def _encrypt(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None, keys=None) -> bytes:
+    """ECB when iv is None, else CBC chained from iv (which computes no
+    window, so takes no keys)."""
     if iv is None:
-        return ecb_encrypt(piece, ks, plan)
+        return ecb_encrypt(piece, ks, plan, keys)
     return cbc_encrypt(piece, ks, iv, plan)
 
 
-def _decrypt(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None) -> bytes:
+def _decrypt(piece: bytes, ks: KeySchedule, plan: VariantPlan, iv: bytes | None, keys=None) -> bytes:
     """ECB when iv is None, else CBC chained from iv."""
     if iv is None:
-        return ecb_decrypt(piece, ks, plan)
-    return cbc_decrypt(piece, ks, iv, plan)
+        return ecb_decrypt(piece, ks, plan, keys)
+    return cbc_decrypt(piece, ks, iv, plan, keys)
 
 
 def encrypt_pieces(
@@ -248,10 +274,11 @@ def encrypt_pieces(
     _check_iv(mode, iv)
     if iv is not None:
         yield iv
+    keys = {}  # one window-key set per window length, for every piece
     last = len(data) - len(data) % CHUNK  # where the padded piece starts
     for i in range(0, last + 1, CHUNK):
         piece = data[i:i + CHUNK] if i < last else pkcs7_pad(data[last:])
-        piece = _encrypt(piece, ks, plan, iv)
+        piece = _encrypt(piece, ks, plan, iv, keys)
         if iv is not None:
             iv = piece[-BLOCK_SIZE:]
         yield piece
@@ -274,11 +301,12 @@ def decrypt_pieces(blob: bytes, ks: KeySchedule, mode: str, plan: VariantPlan):
         iv, start = blob[:BLOCK_SIZE], BLOCK_SIZE
     _check_iv(mode, iv)
     _require_aligned(len(blob) - start)
+    keys = {}  # one window-key set per window length, for every piece
     last = start + max(len(blob) - start - 1, 0) // CHUNK * CHUNK  # where the padded piece starts
     # iv and ...: None for ECB, the block before the piece for CBC.
-    tail = pkcs7_unpad(_decrypt(blob[last:], ks, plan, iv and blob[last - BLOCK_SIZE:last]))
+    tail = pkcs7_unpad(_decrypt(blob[last:], ks, plan, iv and blob[last - BLOCK_SIZE:last], keys))
     for i in range(start, last, CHUNK):
-        yield _decrypt(blob[i:i + CHUNK], ks, plan, iv and blob[i - BLOCK_SIZE:i])
+        yield _decrypt(blob[i:i + CHUNK], ks, plan, iv and blob[i - BLOCK_SIZE:i], keys)
     yield tail
 
 

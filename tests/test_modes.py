@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 import tracemalloc
 from unittest import mock
@@ -640,6 +641,55 @@ def test_window_path_runs_from_window_min_blocks_once_per_window(ks, monkeypatch
         calls.clear()
         run(data, ks, *args)
         assert calls == [(block_fn, 1)] * 300, run.__name__
+
+
+# Three whole pieces of 1024 blocks, then a padded piece of 101 blocks.
+ACROSS_PIECES = 3 * CHUNK + 1603
+
+
+def test_raw_operation_builds_each_window_length_keys_once(ks, monkeypatch):
+    # Each whole piece runs four 256-block windows and the last piece one
+    # 101-block window; one operation builds each length's keys once.
+    built = []
+
+    def counting(ks, blocks, inverse, fn=modes.window_keys):
+        built.append((blocks, inverse))
+        return fn(ks, blocks, inverse)
+
+    monkeypatch.setattr(modes, "window_keys", counting)
+    plan = make_plan("optf", ks.n_r)
+    data = random.Random(33).randbytes(ACROSS_PIECES)
+    for mode, iv in (("ecb", None), ("cbc", bytes(range(16)))):
+        built.clear()
+        blob = encrypt_blob(data, ks, mode, plan, iv)
+        # CBC encryption chains block by block and computes no window.
+        assert sorted(built) == ([] if iv else [(101, False), (256, False)]), mode
+        built.clear()
+        assert decrypt_blob(blob, ks, mode, plan) == data
+        assert sorted(built) == [(101, True), (256, True)], mode
+
+
+def test_window_keys_do_not_outlive_the_operation():
+    # The schedule is warmed by a message too short for the window path,
+    # so window keys kept on it, or anywhere past the operation, would
+    # stay traced: at least 44 KiB for AES-128.
+    ks = key_expansion(KEY)
+    plan = make_plan("optf", ks.n_r)
+    data = random.Random(33).randbytes(ACROSS_PIECES)
+    for mode, iv in (("ecb", None), ("cbc", bytes(range(16)))):
+        decrypt_blob(encrypt_blob(data[:16], ks, mode, plan, iv), ks, mode, plan)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            back = decrypt_blob(encrypt_blob(data, ks, mode, plan, iv), ks, mode, plan)
+            assert back == data
+            del back
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left <= 1024, (mode, left)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,8 @@ def test_raw_layout_across_pieces_matches_openssl(mode, key_bytes):
     iv = rng.randbytes(16) if mode == "cbc" else None
     ks = key_expansion(key)
     plan = make_plan("optf", ks.n_r)
-    for length in (CHUNK - 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 16, 3 * CHUNK - 5):
+    for length in (CHUNK - 17, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 1603, 2 * CHUNK + 16,
+                   2 * CHUNK + 128, 3 * CHUNK - 5):
         data = rng.randbytes(length)
         blob = raw_layout(key, iv, data)
         assert encrypt_blob(data, ks, mode, plan, iv) == blob, length
