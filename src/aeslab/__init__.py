@@ -7,7 +7,7 @@ statistics for the ECB-leakage demonstrations.
 """
 
 from .core import KeySchedule, decrypt_block, encrypt_block, key_expansion
-from .gf256 import build_mul_table, build_sbox, gf_mul, xtime
+from .gf256 import build_mul_table, build_sbox, build_t_tables, gf_mul, xtime
 from .modes import (
     cbc_decrypt,
     cbc_encrypt,
@@ -21,7 +21,6 @@ from .modes import (
 )
 from .variants import (
     VariantPlan,
-    build_t_tables,
     decrypt_block_variant,
     encrypt_block_variant,
     make_plan,

@@ -37,8 +37,8 @@ input's length, so while it runs it holds that buffer, the round keys
 repeated over one window (4 KiB per round key) and a few window-sized
 temporaries, and at the end that buffer and its bytes copy.  A direct
 call builds those keys once, for its own windows.  Its tracemalloc
-peaks over a 64 KiB input are 2.29x to encrypt and 2.37x to decrypt in
-ECB for AES-128, 2.43x and 2.51x for AES-192 and 2.56x and 2.65x for
+peaks over a 64 KiB input are 2.29x to encrypt and 2.33x to decrypt in
+ECB for AES-128, 2.43x and 2.46x for AES-192 and 2.56x and 2.60x for
 AES-256.
 
 The raw-file layout runs those loops on pieces of at most CHUNK bytes,
@@ -80,8 +80,8 @@ MEMO_BLOCKS = 256
 # against the block loop, the window form is about as fast at 6 blocks,
 # 1.09-1.36x at 7 and at least 1.25x from 8 in both directions, where it
 # starts.  A 256-block window costs 7-18% more per block than a
-# 1024-block one, for well under half the transient memory (2.29-2.37x
-# against 6.07-6.40x a 64 KiB input).
+# 1024-block one, for well under half the transient memory (2.29-2.33x
+# against 6.07-6.20x a 64 KiB input).
 WINDOW_MIN_BLOCKS = 8
 WINDOW_BLOCKS = 256
 

@@ -48,12 +48,13 @@ column, so lane l of row k belongs in row k + l.  The lanes are the
 (Inv)MixColumns coefficients times the (inverse) S-box output, so the
 window reads no T-table.  A round is (Inv)ShiftRows as one join of
 contiguous plane slices, one translate through the (inverse) S-box,
-the {02}, {04} and {08} multiples by xtime on every byte of the window
-at once (xtime_window: one for encryption, three for decryption), the
-multiples moved between rows by whole-row rotations of the window as
-one int, and the round key, repeated once per block in plane order.
+MixColumns as the {02} multiple by xtime on every byte of the window
+at once (xtime_window) and whole-row rotations of the window as one
+int, and the round key, repeated once per block in plane order.
 Decryption runs the equivalent inverse cipher on dec_words, as
-decrypt_block_variant's fused stages do.
+decrypt_block_variant's fused stages do, and its InvMixColumns is the
+same MixColumns after one step: rows k and k + 2 both gain {04} times
+their XOR, by two more xtime_window over half the window.
 """
 
 import struct
@@ -71,7 +72,8 @@ from .core import (
     store_state,
 )
 from .gf256 import INV_S_BOX, MUL_TABLE, S_BOX, T_DEC, T_ENC, ReadOnly
-# Read here by the package's public names and by perfbench's table timings.
+# perfbench's table timing is now this re-export's only reader (ROADMAP
+# item 7 drops it).
 from .gf256 import build_t_tables  # noqa: F401
 
 
@@ -311,11 +313,14 @@ def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytearray:
     translate through the (inverse) S-box to u, the lanes' multiples of
     u by xtime_window, and the round key.  Lane l of row k belongs in
     row k + l, and R, the rotation that moves every row down one and
-    the last row to the top, is z >> row ^ (z & low) << up.  Encryption
+    the last row to the top, is z >> row ^ (z & low) << up.  MixColumns
     sums its lanes {02}u, u, u, {03}u by Horner's rule in R.
-    Decryption's lanes {0E}u, {09}u, {0D}u, {0B}u are grouped by
-    powers of xtime, with p = u ^ R^2 u and f = p ^ R p:
-    xt(xt(xt(f) ^ p) ^ u ^ R^3 u) ^ f ^ u.  The final round is
+    InvMixColumns is MixColumns after the circulant {05, 00, 04, 00}
+    (Daemen and Rijmen, AES Proposal: Rijndael, section 4.1.3), so
+    decryption first adds {04}(u ^ R^2 u) to u, R^2 swapping rows k and
+    k + 2, and then runs the same MixColumns; that multiple is equal in
+    rows k and k + 2, so it is taken once, over the last two rows.  The
+    final round is
     (Inv)ShiftRows, a translate through the (inverse) S-box and the last
     key, and the window is transposed back out."""
     n = len(x)
@@ -337,37 +342,28 @@ def fused_window(x: bytes, keys: tuple, inverse: bool) -> bytearray:
     # its output's memory.
     box = INV_S_BOX if inverse else S_BOX
     m80 = int.from_bytes(b"\x80" * n, "big")
+    if inverse:
+        half = 2 * row
+        low2 = (1 << half) - 1
     for key in keys[1:-1]:
         y = v.to_bytes(n, "big")
         del v
         u = int.from_bytes(b"".join([y[s] for s in cuts]).translate(box), "big")
         del y
         if inverse:
-            # {0E}, {09}, {0D}, {0B} in rows k, k + 1, k + 2, k + 3 by
-            # their bits: {08} is set in all four (f), {04} in the first
-            # and third (p), {02} in the first and fourth (r), {01} in
-            # the last three (f ^ u).
-            r = u >> row ^ (u & low) << up
-            r = r >> row ^ (r & low) << up
-            p = u ^ r
-            r = u ^ (r >> row ^ (r & low) << up)
-            f = p ^ (p >> row ^ (p & low) << up)
-            p ^= xtime_window(f, m80)
-            f ^= u
-            del u
-            r ^= xtime_window(p, m80)
-            del p
-            v = xtime_window(r, m80) ^ f ^ key
-            del r, f
-        else:
-            # Lanes 1 and 2 are u itself and lane 3, {03}u, is lane 0
-            # ({02}u) XOR u.
-            a = xtime_window(u, m80)
-            z = a ^ u
-            for _ in 1, 2:
-                z = (z >> row ^ (z & low) << up) ^ u
-            v = a ^ (z >> row ^ (z & low) << up) ^ key
-            del a, z, u
+            # circulant({05}, {00}, {04}, {00}): rows k and k + 2 both
+            # gain {04}(u_k ^ u_{k+2}), d in the last two rows.
+            d = xtime_window(xtime_window(u >> half ^ u & low2, m80), m80)
+            u ^= d ^ d << half
+            del d
+        # Lanes 1 and 2 are u itself and lane 3, {03}u, is lane 0
+        # ({02}u) XOR u.
+        a = xtime_window(u, m80)
+        z = a ^ u
+        for _ in 1, 2:
+            z = (z >> row ^ (z & low) << up) ^ u
+        v = a ^ (z >> row ^ (z & low) << up) ^ key
+        del a, z, u
     y = v.to_bytes(n, "big")
     del v
     y = (int.from_bytes(b"".join([y[s] for s in cuts]).translate(box), "big")

@@ -16,14 +16,13 @@ from aeslab.core import (
     store_state,
     sub_bytes,
 )
-from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX, gf_mul, xtime
+from aeslab.gf256 import INV_S_BOX, MUL_TABLE, S_BOX, build_t_tables, gf_mul, xtime
 from aeslab.modes import decrypt_blob, encrypt_blob, pkcs7_pad
 from aeslab.variants import (
     T_DEC,
     T_ENC,
     VARIANT_IDS,
     VariantPlan,
-    build_t_tables,
     decrypt_block_variant,
     encrypt_block_variant,
     fused_window,
@@ -112,25 +111,30 @@ def test_xtime_window_is_xtime_on_every_byte():
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_fused_window_round_is_one_mix_column(inverse):
-    # Two rounds under zero keys over 256 blocks.  Block j substitutes
-    # to j in byte 0 and to 0 in every other byte, so its middle round
-    # is (Inv)MixColumns of the column (j, 0, 0, 0): row i of column 0
-    # takes coefficient i of the matrix times j, here read through the
-    # MUL_TABLE rows.  The final round carries row i to column -i (+i
-    # to decrypt) and substitutes it, which the test undoes.
+    # Two rounds under zero keys over 256 blocks, once for each row i.
+    # Block j substitutes to j in row i of the column that (Inv)ShiftRows
+    # turns to column 0 and to 0 in every other byte, so its middle round
+    # is (Inv)MixColumns of j in row i of column 0: row r of column 0
+    # takes coefficient (i - r) mod 4 of the matrix's first row times j,
+    # here read through the MUL_TABLE rows, so the four values of i read
+    # all 16 coefficients.  The final round carries row r to column -r
+    # (+r to decrypt) and substitutes it, which the test undoes.
     m2, m3, m9, mb, md, me = MUL_TABLE
     one = bytes(range(256))
     if inverse:
-        unbox, rows, turn = S_BOX, (me, m9, md, mb), 1
+        unbox, first, turn = S_BOX, (me, mb, md, m9), 1
     else:
-        unbox, rows, turn = INV_S_BOX, (m2, one, one, m3), -1
-    x = b"".join(bytes([unbox[j]] + [unbox[0]] * 15) for j in range(256))
-    out = fused_window(x, (0, 0, 0), inverse).translate(unbox)
-    for j in range(256):
-        want = bytearray(16)
-        for i, row in enumerate(rows):
-            want[4 * (turn * i % 4) + i] = row[j]
-        assert out[16 * j:16 * j + 16] == want, j
+        unbox, first, turn = INV_S_BOX, (m2, m3, one, one), -1
+    for i in range(4):
+        at = 4 * (-turn * i % 4) + i
+        x = b"".join(bytes(unbox[j] if b == at else unbox[0] for b in range(16))
+                     for j in range(256))
+        out = fused_window(x, (0, 0, 0), inverse).translate(unbox)
+        for j in range(256):
+            want = bytearray(16)
+            for r in range(4):
+                want[4 * (turn * r % 4) + r] = first[(i - r) % 4][j]
+            assert out[16 * j:16 * j + 16] == want, (i, j)
 
 
 def test_fused_window_matches_block_kernels():
